@@ -6,10 +6,12 @@ Run from the root of a source checkout; the program is imported from
 ``src/``. The workload's inputs are made from ``--seed`` and set up three
 times (``setup_s`` is the median). Whole passes over the workload's videos
 then run until ``--seconds`` is used up, at least one pass. ``--trace 0``
-prints the end-to-end metrics. ``--trace 1`` runs an untraced pass, a
-traced pass and another untraced pass, prints the per-layer metrics and
-writes the spans to ``.bench_out/``. The last line of standard output is one JSON object with
-the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
+prints the end-to-end metrics; their times are scaled to a reference
+machine speed that a probe measures during the run (see ``speed.py``).
+``--trace 1`` runs an untraced pass, a traced pass and another untraced
+pass, prints the per-layer metrics and writes the spans to ``.bench_out/``.
+The last line of standard output is one JSON object with the keys
+``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 BLAS runs on one thread in this process: the variables below are set before
 numpy is imported.
@@ -33,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from speed import SpeedProbe
 from tracer import Tracer
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -87,27 +90,38 @@ def _peak_rss_mb() -> float:
 
 
 def end_to_end(workload, seed, seconds, workdir):
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        workload.setup(seed, workdir)
-        setups.append(time.perf_counter() - t0)
-    passes = []
-    start = time.perf_counter()
-    while True:
-        passes.append(workload.run_pass())
-        elapsed = time.perf_counter() - start
-        if elapsed + elapsed / len(passes) > seconds:
-            break
+    probe = SpeedProbe()
+    workload.clock = probe.clock
+    setups, passes = [], []
+    with probe:
+        setup_start = probe.wall()
+        for _ in range(SETUP_REPEATS):
+            t0 = probe.clock()
+            workload.setup(seed, workdir)
+            setups.append(probe.clock() - t0)
+        start = probe.wall()
+        while True:
+            passes.append(workload.run_pass())
+            elapsed = probe.wall() - start
+            if elapsed + elapsed / len(passes) > seconds:
+                break
+        end = probe.wall()
     video_s = [t for p in passes for t in p.video_s]
     if not video_s:
         sys.exit("error: every operation failed, so nothing was measured")
     frames = sum(p.frames for p in passes)
+    wall_s = sum(p.wall_s for p in passes)
+    # Each phase is scaled by the machine's speed during it.
+    setup_scale, scale = probe.scale(setup_start, start), probe.scale(start, end)
+    print(f"# measured: setup {statistics.median(setups):.4f} s, {frames / wall_s:.2f} frames/s, "
+          f"video p50 {np.percentile(video_s, 50):.4f} s; scale {setup_scale:.4f} in set-up, "
+          f"{scale:.4f} after; {len(probe.samples)} probe ticks took {probe.spent_s:.3f} s",
+          file=sys.stderr)
     metrics = {
-        "setup_s": _metric(statistics.median(setups), "s"),
-        "frames_per_s": _metric(frames / sum(p.wall_s for p in passes), "frames/s"),
-        "video_s_p50": _metric(float(np.percentile(video_s, 50)), "s"),
-        "video_s_p80": _metric(float(np.percentile(video_s, 80)), "s"),
+        "setup_s": _metric(statistics.median(setups) * setup_scale, "s"),
+        "frames_per_s": _metric(frames / (wall_s * scale), "frames/s"),
+        "video_s_p50": _metric(float(np.percentile(video_s, 50)) * scale, "s"),
+        "video_s_p80": _metric(float(np.percentile(video_s, 80)) * scale, "s"),
         "peak_rss_mb": _metric(_peak_rss_mb(), "MB"),
         "mof": _metric(passes[0].mof, "%"),
         "f1": _metric(passes[0].f1, "%"),

@@ -4,6 +4,8 @@ and the checks of every output.
 Each workload is closed-loop: one process segments one video after another.
 One operation is one video. A pass runs every video of the workload once;
 runs repeat whole passes, so every run attempts the same operations.
+Operations are timed with the workload's ``clock``, which the end-to-end
+run replaces with one that leaves out the speed probe's time.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ class SegmentVideos:
     """``segment_video`` then ``evaluate`` on each video, in order; video i
     trains with ``TrainConfig(m, epochs, seed=i)``."""
 
+    clock = staticmethod(time.perf_counter)
+
     def __init__(self, m: int, epochs: int, profile: str):
         self.m, self.epochs, self.profile = m, epochs, PROFILES[profile]
 
@@ -79,7 +83,7 @@ class SegmentVideos:
             if tracer is not None:
                 tracer.op = i
             cfg = TrainConfig(m=self.m, epochs=self.epochs, seed=i)
-            t0 = time.perf_counter()
+            t0 = self.clock()
             try:
                 approx, seg = learner.segment_video(v, cfg, self.profile)
                 report = evaluation.evaluate(seg, v.labels)
@@ -88,7 +92,7 @@ class SegmentVideos:
                 traceback.print_exc(file=sys.stderr)
                 continue
             finally:
-                dt = time.perf_counter() - t0
+                dt = self.clock() - t0
                 res.wall_s += dt
             res.video_s.append(dt)
             res.frames += v.n_frames
@@ -122,14 +126,16 @@ class TableMoving5(SegmentVideos):
 
 
 class LongSmooth(SegmentVideos):
-    """Three videos of five 440-520 frame segments (2200-2600 frames) on
-    the ``long`` profile, m = 5, 20 epochs."""
+    """Three videos of five 470-490 frame segments (2350-2450 frames) on
+    the ``long`` profile, m = 5, 20 epochs. The narrow range keeps the
+    work, which grows faster than the frame count, nearly the same from
+    seed to seed."""
 
     def __init__(self):
         super().__init__(m=5, epochs=20, profile="long")
 
     def make_videos(self, seed):
-        cfg = SynthConfig(n_videos=3, seg_len_range=(440, 520), max_repeats=1, seed=seed)
+        cfg = SynthConfig(n_videos=3, seg_len_range=(470, 490), max_repeats=1, seed=seed)
         return generate_moving5(cfg, split="test")
 
 
@@ -145,6 +151,7 @@ class RandmCli:
     N_VIDEOS = 20
     MBAR = 5
     PROTOCOL_SEED = 0
+    clock = staticmethod(time.perf_counter)
 
     def setup(self, seed: int, workdir: Path) -> None:
         self.seed = seed
@@ -168,20 +175,20 @@ class RandmCli:
         def timed_task(payload):
             if tracer is not None:
                 tracer.op = Path(payload[0]).name
-            t0 = time.perf_counter()
+            t0 = self.clock()
             try:
                 return task(payload)
             finally:
-                res.video_s.append(time.perf_counter() - t0)
+                res.video_s.append(self.clock() - t0)
 
         cli._randm_task = timed_task
         captured = io.StringIO()
-        t0 = time.perf_counter()
+        t0 = self.clock()
         try:
             with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
                 code = cli.main(argv)
         finally:
-            res.wall_s = time.perf_counter() - t0
+            res.wall_s = self.clock() - t0
             cli._randm_task = task
         if code != 0:
             sys.stderr.write(captured.getvalue())
