@@ -37,7 +37,7 @@ print(f"product-kernel rescaling alpha = med(gauss)/med(ntk): {alpha:.4f}\n")
 
 for family in FAMILIES:
     fam_spec = KernelSpec(family=family, lengthscale=lam, alpha=alpha)
-    gram = kernel_matrix(x, x, fam_spec).values
+    gram = kernel_matrix(x, x, fam_spec)
     eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     sym = np.max(np.abs(gram - gram.T))
     print(f"{family:18s} value range [{gram.min():+.4f}, {gram.max():+.4f}]  "
@@ -64,7 +64,7 @@ print(f"orthogonal pair:              NNGP {nngp_orth:.4f}, NTK {ntk_orth:.4f}")
 rows = make_rng(1).normal(size=(6, 2000))
 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
 for r in (1.0, ntk_input_scale(rows, spec_ntk)):
-    gram = kernel_matrix(rows, rows, KernelSpec(family="ntk", input_scale=r)).values
+    gram = kernel_matrix(rows, rows, KernelSpec(family="ntk", input_scale=r))
     off = gram[~np.eye(6, dtype=bool)]
     print(f"unit rows in 2000-D, input scale {r:6.2f}: off-diagonal NTK "
           f"{off.min():.4f}..{off.max():.4f}, diagonal {gram[0, 0]:.4f}")

@@ -21,10 +21,8 @@ from .errors import (
 from .evaluation import EvalReport, boundary_accuracy, evaluate, f1, hungarian_match, iou, mof
 from .kernels import (
     FAMILIES,
-    KernelMatrix,
     KernelSpec,
     alpha_rescale,
-    gauss_kernel,
     kernel_grad_b,
     kernel_matrix,
     median_lengthscale,
@@ -45,7 +43,7 @@ from .learner import (
     uniform_spans,
 )
 from .mmd import MmdBatchPlan, make_batch_plan, mmd2, mmd2_grad_y
-from .numerics import AdamState, adam_init, adam_step, finite_diff_grad, make_rng, median, pairwise_sqdist
+from .numerics import finite_diff_grad, make_rng, median, pairwise_sqdist
 from .preprocess import VideoFeatures, l2_normalize_rows, load_features, load_labels, temporal_smooth
 from .synthgen import SynthConfig, generate_moving5, generate_video, render_glyph, write_dataset
 

@@ -116,19 +116,6 @@ def hungarian_match(pred, gt, exclude_gt: int | None = None) -> dict[int, int | 
     return label_map
 
 
-def _mapped(pred, label_map):
-    # Unseen predicted classes (possible when the map came from other frames)
-    # count as unmatched.
-    return np.asarray([-1 if label_map.get(int(p)) is None else label_map[int(p)] for p in pred],
-                      dtype=np.int64)
-
-
-def mof(pred, gt, label_map, exclude_gt: int | None = None) -> float:
-    """Fraction of evaluated frames whose mapped prediction equals gt."""
-    pred, gt = _clean_pair(pred, gt, exclude_gt)
-    return float(np.mean(_mapped(pred, label_map) == gt))
-
-
 def _per_class_counts(pred, gt, label_map):
     inverse = {g: p for p, g in label_map.items() if g is not None}
     out = {}
@@ -146,24 +133,45 @@ def _per_class_counts(pred, gt, label_map):
     return out
 
 
+def _scores(pred, gt, label_map) -> tuple[float, float, float, dict[int, dict[str, float]]]:
+    """MoF, IoU, F1 and the per-class scores, all from one count table.
+
+    MoF is the sum of the matched intersections over the evaluated frames, so
+    a frame of an unmatched predicted class is never correct, whatever its
+    ground-truth label.
+    """
+    counts = _per_class_counts(pred, gt, label_map)
+    per_class = {}
+    for g, (inter, union, n_pred, n_gt) in counts.items():
+        precision = inter / n_pred if n_pred else 0.0
+        recall = inter / n_gt if n_gt else 0.0
+        per_class[g] = {
+            "precision": precision,
+            "recall": recall,
+            "f1": 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0,
+            "iou": inter / union if union else 0.0,
+        }
+    mof_value = sum(inter for inter, _, _, _ in counts.values()) / gt.size
+    return (mof_value,
+            float(np.mean([c["iou"] for c in per_class.values()])),
+            float(np.mean([c["f1"] for c in per_class.values()])),
+            per_class)
+
+
+def mof(pred, gt, label_map, exclude_gt: int | None = None) -> float:
+    """Fraction of evaluated frames whose predicted class is matched to
+    their ground-truth class."""
+    return _scores(*_clean_pair(pred, gt, exclude_gt), label_map)[0]
+
+
 def iou(pred, gt, label_map, exclude_gt: int | None = None) -> float:
     """Unweighted mean over ground-truth classes of |intersection|/|union|."""
-    pred, gt = _clean_pair(pred, gt, exclude_gt)
-    counts = _per_class_counts(pred, gt, label_map)
-    return float(np.mean([inter / union if union else 0.0
-                          for inter, union, _, _ in counts.values()]))
+    return _scores(*_clean_pair(pred, gt, exclude_gt), label_map)[1]
 
 
 def f1(pred, gt, label_map, exclude_gt: int | None = None) -> float:
     """Unweighted mean over ground-truth classes of the per-class F1."""
-    pred, gt = _clean_pair(pred, gt, exclude_gt)
-    counts = _per_class_counts(pred, gt, label_map)
-    scores = []
-    for inter, _, n_pred, n_gt in counts.values():
-        precision = inter / n_pred if n_pred else 0.0
-        recall = inter / n_gt if n_gt else 0.0
-        scores.append(2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0)
-    return float(np.mean(scores))
+    return _scores(*_clean_pair(pred, gt, exclude_gt), label_map)[2]
 
 
 def _boundaries(labels) -> np.ndarray:
@@ -237,22 +245,12 @@ def evaluate(seg, gt, exclude_gt: int | None = None, boundary_tol: int | None = 
     if pred_labels.size != gt.size:
         raise ConsistencyError(f"pred has {pred_labels.size} frames but gt has {gt.size}")
     label_map = hungarian_match(pred_labels, gt, exclude_gt)
-    pred_eval, gt_eval = _clean_pair(pred_labels, gt, exclude_gt)
-    counts = _per_class_counts(pred_eval, gt_eval, label_map)
-    per_class = {}
-    for g, (inter, union, n_pred, n_gt) in counts.items():
-        precision = inter / n_pred if n_pred else 0.0
-        recall = inter / n_gt if n_gt else 0.0
-        per_class[g] = {
-            "precision": precision,
-            "recall": recall,
-            "f1": 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0,
-            "iou": inter / union if union else 0.0,
-        }
+    mof_value, iou_value, f1_value, per_class = _scores(*_clean_pair(pred_labels, gt, exclude_gt),
+                                                        label_map)
     return EvalReport(
-        mof=mof(pred_labels, gt, label_map, exclude_gt),
-        iou=iou(pred_labels, gt, label_map, exclude_gt),
-        f1=f1(pred_labels, gt, label_map, exclude_gt),
+        mof=mof_value,
+        iou=iou_value,
+        f1=f1_value,
         boundary_accuracy=(boundary_accuracy(pred_labels, gt, boundary_tol)
                            if boundary_tol is not None else None),
         label_map=label_map,

@@ -38,8 +38,11 @@ Gradients with respect to the second argument decompose as
 
     grad_b k(a, b) = U(a, b) * a + W(a, b) * b
 
-for scalar coefficient fields U, W. ``_grad_coeffs`` returns the full
-coefficient matrices so that MMD gradients reduce to matrix products.
+for scalar coefficient fields U, W. Every family goes through ``_kernel``,
+which forms the Gram product and squared row norms of its two row sets once
+(once more on the projected rows for the ``_sphere`` NTK) and returns, in
+one pass, the kernel values and, when asked, the full coefficient matrices,
+so that MMD gradients reduce to matrix products.
 """
 
 from __future__ import annotations
@@ -56,15 +59,13 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .numerics import make_rng, median, pairwise_sqdist
+from .numerics import make_rng, median, pairwise_sqdist, sqdist_from_gram
 
 __all__ = [
     "FAMILIES",
     "PRODUCT_FAMILIES",
     "KernelSpec",
-    "KernelMatrix",
     "sphere_project",
-    "gauss_kernel",
     "ntk_base",
     "kernel_matrix",
     "kernel_grad_b",
@@ -76,6 +77,7 @@ __all__ = [
 
 FAMILIES = ("gauss", "nngp", "ntk", "ntk_sphere", "gauss_ntk", "gauss_ntk_sphere")
 PRODUCT_FAMILIES = ("gauss_ntk", "gauss_ntk_sphere")
+GAUSS_FAMILIES = ("gauss",) + PRODUCT_FAMILIES
 SPHERE_FAMILIES = ("ntk_sphere", "gauss_ntk_sphere")
 
 # Pair-sampling caps used when deriving lengthscale / rescaling from data.
@@ -117,14 +119,6 @@ class KernelSpec:
             raise KernelSpecError("clamp_eps must lie in (0, 1e-3)")
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Kernel evaluations between two row sets, with the spec snapshot."""
-
-    values: np.ndarray
-    spec: KernelSpec
-
-
 def _as_2d(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -134,41 +128,27 @@ def _as_2d(x) -> np.ndarray:
     return x
 
 
-def sphere_project(x: np.ndarray) -> np.ndarray:
-    """Divide each row by its Euclidean norm; rejects all-zero rows."""
-    x = _as_2d(x)
+def _project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row norms of ``x`` and its rows divided by them; rejects all-zero rows."""
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateInputError(f"cannot sphere-project all-zero row {bad}")
-    return x / norms[:, None]
+    return norms, x / norms[:, None]
 
 
-def gauss_kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> KernelMatrix:
-    """Gaussian kernel matrix exp(-||a_i - b_j||^2 / lengthscale^2)."""
-    a, b = _as_2d(a), _as_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"gauss_kernel: dimension mismatch {a.shape[1]} vs {b.shape[1]}")
-    values = np.exp(-pairwise_sqdist(a, b) / spec.lengthscale**2)
-    return KernelMatrix(values=values, spec=spec)
+def sphere_project(x: np.ndarray) -> np.ndarray:
+    """Divide each row by its Euclidean norm; rejects all-zero rows."""
+    return _project(_as_2d(x))[1]
 
 
-def _ntk_closed_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec) -> dict:
-    """Shared arc-cosine closed form; works elementwise on any shape."""
-    c_raw = k0_ab / p
-    lo, hi = -1.0 + spec.clamp_eps, 1.0 - spec.clamp_eps
-    c = np.clip(c_raw, lo, hi)
-    theta = np.arccos(c)
-    sin_t = np.sqrt(1.0 - c * c)
-    coef = spec.sigma_w_sq / (2.0 * math.pi)
-    g = sin_t + (math.pi - theta) * c
-    nngp = coef * p * g + spec.sigma_b_sq
-    ntk_dot = coef * (math.pi - theta)
-    return {
-        "c_raw": c_raw, "c": c, "theta": theta, "sin_t": sin_t, "g": g,
-        "nngp": nngp, "ntk_dot": ntk_dot, "ntk": nngp + k0_ab * ntk_dot,
-        "inside": (c_raw > lo) & (c_raw < hi),
-    }
+def _gram(a: np.ndarray, b: np.ndarray):
+    """Gram product ``a @ b.T`` and the squared row norms of ``a`` and ``b``."""
+    return a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+
+
+def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    return np.exp(-sqdist / spec.lengthscale**2)
 
 
 def _k0_factor(d: int, spec: KernelSpec) -> float:
@@ -176,124 +156,105 @@ def _k0_factor(d: int, spec: KernelSpec) -> float:
     return spec.sigma_w_sq * spec.input_scale**2 / d
 
 
-def _ntk_terms(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> dict:
-    """Closed form over all row pairs of two matrices."""
-    s = _k0_factor(a.shape[1], spec)
-    k0_ab = s * (a @ b.T) + spec.sigma_b_sq
-    k0_aa = s * np.sum(a * a, axis=1) + spec.sigma_b_sq
-    k0_bb = s * np.sum(b * b, axis=1) + spec.sigma_b_sq
-    p = np.sqrt(np.outer(k0_aa, k0_bb))
+def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: bool = False,
+                 grad=None):
+    """NTK (or NNGP) values from K0(a, b) and p = sqrt(K0(a, a) K0(b, b)),
+    elementwise on any shape.
+
+    With ``grad = (s, k0_aa)``, where K0 = s <a, b> + sb2 and ``k0_aa`` is the
+    column of K0(a_i, a_i), also returns (U, W) of grad_b for raw rows.
+    """
     if np.any(p == 0.0):
         raise DegenerateInputError(
             "NTK closed form undefined for a zero-variance input (zero row with sigma_b_sq = 0)"
         )
-    terms = _ntk_closed_form(k0_ab, p, spec)
-    terms.update(s=s, k0_ab=k0_ab, k0_aa=k0_aa, p=p)
-    return terms
+    c_raw = k0_ab / p
+    lo, hi = -1.0 + spec.clamp_eps, 1.0 - spec.clamp_eps
+    c = np.clip(c_raw, lo, hi)
+    pi_m_t = math.pi - np.arccos(c)
+    sin_t = np.sqrt(1.0 - c * c)
+    coef = spec.sigma_w_sq / (2.0 * math.pi)
+    g = sin_t + pi_m_t * c
+    del c  # one N x N array less at the peak of a long video's loss log
+    nngp = coef * p * g + spec.sigma_b_sq
+    ntk_dot = coef * pi_m_t
+    values = nngp if nngp_only else nngp + k0_ab * ntk_dot
+    if grad is None:
+        return values
+    s, k0_aa = grad
+    gate = ((c_raw > lo) & (c_raw < hi)).astype(np.float64)
+    u = coef * pi_m_t * gate * s
+    w = coef * s * k0_aa / p * (g - pi_m_t * gate * c_raw)
+    if nngp_only:
+        return values, u, w
+    # d(pi - theta)/dc = 1/sin(theta); the clamp gate keeps it finite.
+    dot_c = coef * gate / sin_t
+    u_dot = dot_c * s / p
+    w_dot = -dot_c * c_raw * s * k0_aa / (p * p)
+    return values, u + ntk_dot * s + k0_ab * u_dot, w + k0_ab * w_dot
+
+
+def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
+    """Kernel values between the rows of ``a`` and ``b``; with ``grad`` the
+    tuple (values, U, W), grad_b k(a_i, b_j) = U[i, j] a_i + W[i, j] b_j.
+
+    One Gram product per row space: the raw rows feed the Gaussian and the
+    raw NTK, the projected rows feed the ``_sphere`` NTK.
+    """
+    family = spec.family
+    sphere = family in SPHERE_FAMILIES
+    kg = None
+    if family != "ntk_sphere":
+        gram, sq_a, sq_b = _gram(a, b)
+    if family in GAUSS_FAMILIES:
+        kg = _gauss(sqdist_from_gram(a, b, gram, sq_a, sq_b), spec)
+        if family == "gauss":
+            f = 2.0 / spec.lengthscale**2
+            return (kg, f * kg, -f * kg) if grad else kg
+    if sphere:
+        (na, a), (nb, b) = _project(a), _project(b)
+        gram, sq_a, sq_b = _gram(a, b)
+
+    s = _k0_factor(a.shape[1], spec)
+    k0_aa = s * sq_a + spec.sigma_b_sq
+    p = np.sqrt(np.outer(k0_aa, s * sq_b + spec.sigma_b_sq))
+    # K0 takes over the Gram buffer unless the sphere gradient still needs the cosines.
+    k0_ab = np.multiply(gram, s, out=None if sphere and grad else gram)
+    k0_ab += spec.sigma_b_sq
+    out = _arccos_form(k0_ab, p, spec, family == "nngp", (s, k0_aa[:, None]) if grad else None)
+    if not grad:
+        return out if kg is None else spec.alpha * out * kg
+    kn, un, wn = out
+    if sphere:
+        # Tangential projection kills the b-hat component of the upstream gradient.
+        un, wn = un / (na[:, None] * nb[None, :]), -un * gram / (nb[None, :] ** 2)
+    if kg is None:
+        return kn, un, wn
+    f = 2.0 / spec.lengthscale**2
+    ug, wg = f * kg, -f * kg
+    return (spec.alpha * kn * kg, spec.alpha * (kg * un + kn * ug),
+            spec.alpha * (kg * wn + kn * wg))
 
 
 def ntk_base(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> tuple[float, float, float]:
-    """Closed-form (K0, NNGP, NTK) for a single pair of vectors."""
+    """Closed-form (K0, NNGP, NTK) of the raw rows for a single pair of vectors."""
     a, b = _as_2d(a_row), _as_2d(b_row)
     if a.shape != b.shape or a.shape[0] != 1:
         raise ShapeError(f"ntk_base expects two equal-length vectors, got {a.shape} and {b.shape}")
-    t = _ntk_terms(a, b, spec)
-    return float(t["k0_ab"][0, 0]), float(t["nngp"][0, 0]), float(t["ntk"][0, 0])
+    k0 = _k0_factor(a.shape[1], spec) * float(a[0] @ b[0]) + spec.sigma_b_sq
+    nngp, ntk = (float(_kernel(a, b, replace(spec, family=f))[0, 0]) for f in ("nngp", "ntk"))
+    return k0, nngp, ntk
 
 
-def _family_values(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    if spec.family == "gauss":
-        return np.exp(-pairwise_sqdist(a, b) / spec.lengthscale**2)
-    if spec.family == "nngp":
-        return _ntk_terms(a, b, spec)["nngp"]
-    if spec.family == "ntk":
-        return _ntk_terms(a, b, spec)["ntk"]
-    if spec.family == "ntk_sphere":
-        return _ntk_terms(sphere_project(a), sphere_project(b), spec)["ntk"]
-    gauss = np.exp(-pairwise_sqdist(a, b) / spec.lengthscale**2)
-    if spec.family == "gauss_ntk":
-        return spec.alpha * _ntk_terms(a, b, spec)["ntk"] * gauss
-    if spec.family == "gauss_ntk_sphere":
-        ntk = _ntk_terms(sphere_project(a), sphere_project(b), spec)["ntk"]
-        return spec.alpha * ntk * gauss
-    raise KernelSpecError(f"unknown kernel family {spec.family!r}")
-
-
-def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> KernelMatrix:
+def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel evaluations between the rows of ``a`` and the rows of ``b``."""
     a, b = _as_2d(a), _as_2d(b)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"kernel_matrix: dimension mismatch {a.shape[1]} vs {b.shape[1]}")
-    values = _family_values(a, b, spec)
+    values = _kernel(a, b, spec)
     if not np.all(np.isfinite(values)):
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
-    return KernelMatrix(values=values, spec=spec)
-
-
-def _ntk_grad_coeffs(a: np.ndarray, b: np.ndarray, spec: KernelSpec, want: str):
-    """(U, W) with grad_b k(a_i, b_j) = U[i,j] a_i + W[i,j] b_j, raw inputs."""
-    t = _ntk_terms(a, b, spec)
-    s, p, k0_ab = t["s"], t["p"], t["k0_ab"]
-    k0_aa = t["k0_aa"][:, None]
-    coef = spec.sigma_w_sq / (2.0 * math.pi)
-    gate = t["inside"].astype(np.float64)
-    pi_m_t = math.pi - t["theta"]
-
-    u_nngp = coef * pi_m_t * gate * s
-    w_nngp = coef * s * k0_aa / p * (t["g"] - pi_m_t * gate * t["c_raw"])
-    if want == "nngp":
-        return u_nngp, w_nngp
-
-    # d(pi - theta)/dc = 1/sin(theta); the clamp gate keeps it finite.
-    dot_c = coef * gate / t["sin_t"]
-    u_dot = dot_c * s / p
-    w_dot = -dot_c * t["c_raw"] * s * k0_aa / (p * p)
-    u_ntk = u_nngp + t["ntk_dot"] * s + k0_ab * u_dot
-    w_ntk = w_nngp + k0_ab * w_dot
-    return u_ntk, w_ntk
-
-
-def _sphere_grad_coeffs(a: np.ndarray, b: np.ndarray, spec: KernelSpec):
-    """Chain the raw-input NTK coefficients through per-row normalization."""
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise DegenerateInputError("cannot sphere-project an all-zero row")
-    ah, bh = a / na[:, None], b / nb[:, None]
-    u, _ = _ntk_grad_coeffs(ah, bh, spec, want="ntk")
-    cos_ab = ah @ bh.T
-    # Tangential projection kills the b-hat component of the upstream gradient.
-    u_raw = u / (na[:, None] * nb[None, :])
-    w_raw = -u * cos_ab / (nb[None, :] ** 2)
-    return u_raw, w_raw
-
-
-def _grad_coeffs(a: np.ndarray, b: np.ndarray, spec: KernelSpec):
-    """Coefficient matrices (U, W) of grad_b k for any family."""
-    if spec.family == "gauss":
-        kg = np.exp(-pairwise_sqdist(a, b) / spec.lengthscale**2)
-        f = 2.0 / spec.lengthscale**2
-        return f * kg, -f * kg
-    if spec.family == "nngp":
-        return _ntk_grad_coeffs(a, b, spec, want="nngp")
-    if spec.family == "ntk":
-        return _ntk_grad_coeffs(a, b, spec, want="ntk")
-    if spec.family == "ntk_sphere":
-        return _sphere_grad_coeffs(a, b, spec)
-    if spec.family in PRODUCT_FAMILIES:
-        kg = np.exp(-pairwise_sqdist(a, b) / spec.lengthscale**2)
-        f = 2.0 / spec.lengthscale**2
-        ug, wg = f * kg, -f * kg
-        if spec.family == "gauss_ntk":
-            kn = _ntk_terms(a, b, spec)["ntk"]
-            un, wn = _ntk_grad_coeffs(a, b, spec, want="ntk")
-        else:
-            kn = _ntk_terms(sphere_project(a), sphere_project(b), spec)["ntk"]
-            un, wn = _sphere_grad_coeffs(a, b, spec)
-        u = spec.alpha * (kg * un + kn * ug)
-        w = spec.alpha * (kg * wn + kn * wg)
-        return u, w
-    raise KernelSpecError(f"unknown kernel family {spec.family!r}")
+    return values
 
 
 def kernel_grad_b(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -301,7 +262,7 @@ def kernel_grad_b(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> np.
     a, b = _as_2d(a_row), _as_2d(b_row)
     if a.shape != b.shape or a.shape[0] != 1:
         raise ShapeError(f"kernel_grad_b expects two equal-length vectors, got {a.shape} and {b.shape}")
-    u, w = _grad_coeffs(a, b, spec)
+    _, u, w = _kernel(a, b, spec, grad=True)
     grad = u[0, 0] * a[0] + w[0, 0] * b[0]
     if not np.all(np.isfinite(grad)):
         raise NumericError("kernel gradient is non-finite")
@@ -334,18 +295,28 @@ def median_lengthscale(x: np.ndarray, max_pairs: int = MAX_SCALE_PAIRS,
     """Median of squared pairwise distances over distinct rows of ``x``.
 
     Long inputs are subsampled (seeded) to at most ``max_frames`` rows and
-    ``max_pairs`` pairs before taking the median.
+    ``max_pairs`` pairs before taking the median. When at least half of the
+    sampled distances are zero (a still frame held for most of the video),
+    the median runs over the nonzero ones, so the lengthscale measures how
+    the frames that do differ differ. In that case a distance within the
+    rounding error of the Gram expansion, d * eps * max ||x||^2, counts as
+    zero: a lengthscale made of rounding noise would blow up the gradient.
     """
     x = _as_2d(x)
     if x.shape[0] < 2:
         raise ValueError("median_lengthscale needs at least 2 rows")
     rng = rng if rng is not None else make_rng(0)
     x, i, j = _sampled_pairs(x, max_pairs, rng, max_frames)
-    lam = median(pairwise_sqdist(x, x)[i, j])
+    sqdist = pairwise_sqdist(x, x)[i, j]
+    lam = median(sqdist)
     if lam <= 0.0:
-        raise DegenerateScaleError(
-            "median squared distance is zero (are most frames identical?)"
-        )
+        noise = x.shape[1] * np.finfo(np.float64).eps * float(np.max(np.sum(x * x, axis=1)))
+        moving = sqdist[sqdist > noise]
+        if moving.size == 0:
+            raise DegenerateScaleError(
+                "every sampled squared distance is zero or rounding noise (are all frames identical?)"
+            )
+        lam = median(moving)
     return lam
 
 
@@ -377,20 +348,24 @@ def alpha_rescale(x: np.ndarray, spec: KernelSpec, max_pairs: int = MAX_SCALE_PA
         raise ValueError("alpha_rescale needs at least 2 rows")
     rng = rng if rng is not None else make_rng(0)
     x, i, j = _sampled_pairs(x, max_pairs, rng, max_frames)
-    gauss_vals = np.exp(-pairwise_sqdist(x, x)[i, j] / spec.lengthscale**2)
-
-    xs = sphere_project(x) if spec.family in SPHERE_FAMILIES else x
-    s = _k0_factor(xs.shape[1], spec)
-    gram = xs @ xs.T
+    gram = x @ x.T
+    sq = np.sum(x * x, axis=1)
+    gauss_vals = _gauss(sqdist_from_gram(x, x, gram, sq, sq)[i, j], spec)
+    if spec.family in SPHERE_FAMILIES:
+        xs = sphere_project(x)
+        gram = xs @ xs.T
+    s = _k0_factor(x.shape[1], spec)
     k0_diag = s * np.diag(gram) + spec.sigma_b_sq
-    k0_ab = s * gram[i, j] + spec.sigma_b_sq
     p = np.sqrt(k0_diag[i] * k0_diag[j])
-    if np.any(p == 0.0):
-        raise DegenerateInputError("NTK undefined for zero-variance rows")
-    med_ntk = median(_ntk_closed_form(k0_ab, p, spec)["ntk"])
+    med_ntk = median(_arccos_form(s * gram[i, j] + spec.sigma_b_sq, p, spec))
     if med_ntk <= 0.0:
         raise DegenerateScaleError("median NTK value is not positive; cannot rescale")
-    return median(gauss_vals) / med_ntk
+    med_gauss = median(gauss_vals)
+    if med_gauss == 0.0:
+        raise DegenerateScaleError(
+            "median Gaussian value underflows to zero (are most frames near-identical?)"
+        )
+    return med_gauss / med_ntk
 
 
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ShapeError
 from .kernels import KernelSpec, kernel_matrix, resolve_spec
 from .mmd import make_batch_plan, mmd2_from_terms, mmd2_grad_y, simplex_weights
-from .numerics import adam_init, adam_step, make_rng
+from .numerics import make_rng
 from .preprocess import VideoFeatures, l2_normalize_rows, temporal_smooth
 
 __all__ = [
@@ -43,16 +43,8 @@ LOG_FRAME_CAP = 2000
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.
-
-    ``optimizer`` is "sgd" (plain gradient steps with decoupled weight decay)
-    or "adam". The default is sgd: at the stock learning rate of 5e-2, Adam's
-    per-coordinate steps are of order lr regardless of gradient size, which
-    on high-dimensional prototypes (a 2352-D frame) moves the whole row by
-    lr * sqrt(D) per step and erases the spatial structure the assignment
-    relies on; plain gradient steps keep the update proportional to the
-    MMD gradient and converge at the same learning rate.
-    """
+    """Hyperparameters of one training run: plain gradient steps with
+    decoupled weight decay at ``learning_rate``."""
 
     m: int
     epochs: int = 100
@@ -60,7 +52,6 @@ class TrainConfig:
     weight_decay: float = 1e-3
     seed: int = 0
     no_train: bool = False
-    optimizer: str = "sgd"
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
@@ -68,8 +59,6 @@ class TrainConfig:
             raise ValueError("m must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -145,11 +134,11 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     Freezes the kernel scales on the input frames and initializes prototypes
     to uniform-span means with uniform weights. Each epoch takes one step per
     shuffled batch on the batch's weighted MMD^2 gradient (plain gradient
-    descent with decoupled weight decay, or Adam if ``cfg.optimizer`` says
-    so), then refits the weights to their MMD^2 optimum for the new
-    prototypes; training starts from the optimal weights of the initial
-    prototypes. ``train_log[0]`` is the loss at initialization; one entry
-    follows per epoch. Fully deterministic given the seed.
+    descent with decoupled weight decay), then refits the weights to their
+    MMD^2 optimum for the new prototypes; training starts from the optimal
+    weights of the initial prototypes. ``train_log[0]`` is the loss at
+    initialization; one entry follows per epoch. Fully deterministic given
+    the seed.
     """
     frames = v.frames
     n = frames.shape[0]
@@ -169,10 +158,10 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
 
     # mean(Kxx) does not depend on the prototypes; each epoch's Kyy and Kxy
     # give both the logged loss and the refit weights.
-    kxx_mean = kernel_matrix(log_frames, log_frames, spec).values.mean()
+    kxx_mean = kernel_matrix(log_frames, log_frames, spec).mean()
 
     def loss_terms(p):
-        return kernel_matrix(p, p, spec).values, kernel_matrix(log_frames, p, spec).values.mean(axis=0)
+        return kernel_matrix(p, p, spec), kernel_matrix(log_frames, p, spec).mean(axis=0)
 
     weights = np.full(cfg.m, 1.0 / cfg.m)
     kyy, kxy_mean = loss_terms(prototypes)
@@ -180,16 +169,12 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     epochs = 0 if cfg.no_train else cfg.epochs
     if epochs > 0:
         weights = simplex_weights(kyy, kxy_mean)
-    state = adam_init(prototypes, cfg.learning_rate, cfg.weight_decay) if cfg.optimizer == "adam" else None
     for _ in range(epochs):
         plan = make_batch_plan(n, cfg.m, rng_batches)
         for batch in plan.batches():
             grad = mmd2_grad_y(frames[batch], prototypes, spec, weights)
-            if state is not None:
-                prototypes, state = adam_step(prototypes, grad, state)
-            else:
-                prototypes = (prototypes - cfg.learning_rate * grad
-                              - cfg.learning_rate * cfg.weight_decay * prototypes)
+            prototypes = (prototypes - cfg.learning_rate * grad
+                          - cfg.learning_rate * cfg.weight_decay * prototypes)
         kyy, kxy_mean = loss_terms(prototypes)
         weights = simplex_weights(kyy, kxy_mean)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
@@ -205,7 +190,7 @@ def kernel_argmax_labels(frames: np.ndarray, prototypes: np.ndarray, spec: Kerne
     zero weight never wins, even where every kernel value is negative (the
     NTK can be). Ties break to the lowest index.
     """
-    sims = kernel_matrix(frames, prototypes, spec).values
+    sims = kernel_matrix(frames, prototypes, spec)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         sims = np.where(weights > 0.0, sims * weights, -np.inf)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import KernelSpec, _grad_coeffs, kernel_matrix
+from .kernels import KernelSpec, _kernel, kernel_matrix
 
 __all__ = ["MmdBatchPlan", "mmd2", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights", "make_batch_plan"]
 
@@ -48,9 +48,9 @@ def mmd2_from_terms(kxx_mean: float, kyy: np.ndarray, kxy_mean: np.ndarray,
 def mmd2(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights=None) -> float:
     """Squared MMD between the rows of ``x`` and the ``weights``-weighted rows of ``y``."""
     x, y = _as_pair(x, y, "mmd2")
-    return mmd2_from_terms(kernel_matrix(x, x, spec).values.mean(),
-                           kernel_matrix(y, y, spec).values,
-                           kernel_matrix(x, y, spec).values.mean(axis=0),
+    return mmd2_from_terms(kernel_matrix(x, x, spec).mean(),
+                           kernel_matrix(y, y, spec),
+                           kernel_matrix(x, y, spec).mean(axis=0),
                            _as_weights(weights, y.shape[0]))
 
 
@@ -67,8 +67,8 @@ def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights=None) ->
     n = x.shape[0]
     w = _as_weights(weights, y.shape[0])
 
-    u_yy, w_yy = _grad_coeffs(y, y, spec)
-    u_xy, w_xy = _grad_coeffs(x, y, spec)
+    _, u_yy, w_yy = _kernel(y, y, spec, grad=True)
+    _, u_xy, w_xy = _kernel(x, y, spec, grad=True)
     grad_self = u_yy.T @ (w[:, None] * y) + (w @ w_yy)[:, None] * y
     grad_cross = u_xy.T @ x + w_xy.sum(axis=0)[:, None] * y
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)
@@ -139,20 +139,16 @@ class MmdBatchPlan:
     """One epoch of shuffled batches over ``n`` frames.
 
     ``batch_size`` is floor(n / m) clamped to at least 1; the final short
-    batch is kept (``drop_last`` records the policy, it is never set here).
+    batch is kept.
     """
 
     batch_size: int
     epoch_permutation: np.ndarray
-    drop_last: bool = False
 
     def batches(self):
         n = self.epoch_permutation.size
         for lo in range(0, n, self.batch_size):
-            batch = self.epoch_permutation[lo:lo + self.batch_size]
-            if self.drop_last and batch.size < self.batch_size:
-                return
-            yield batch
+            yield self.epoch_permutation[lo:lo + self.batch_size]
 
 
 def make_batch_plan(n: int, m: int, rng: np.random.Generator) -> MmdBatchPlan:

@@ -1,14 +1,12 @@
 """Dense numeric substrate: seeded RNG streams, pairwise distances, medians,
-a decoupled-weight-decay Adam optimizer, and a central-difference gradient
-checker used as the gradient oracle throughout the test suite.
+and a central-difference gradient checker used as the gradient oracle
+throughout the test suite.
 
 Matrices are plain float64 ``numpy.ndarray`` values; every public operation
 returns finite entries or raises.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,10 +15,8 @@ from .errors import NumericError, ShapeError
 __all__ = [
     "make_rng",
     "pairwise_sqdist",
+    "sqdist_from_gram",
     "median",
-    "AdamState",
-    "adam_init",
-    "adam_step",
     "finite_diff_grad",
 ]
 
@@ -46,9 +42,15 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_sqdist: incompatible shapes {a.shape} and {b.shape}")
-    sq_a = np.sum(a * a, axis=1)[:, None]
-    sq_b = np.sum(b * b, axis=1)[None, :]
-    d = sq_a + sq_b - 2.0 * (a @ b.T)
+    return sqdist_from_gram(a, b, a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+
+
+def sqdist_from_gram(a: np.ndarray, b: np.ndarray, gram: np.ndarray,
+                     sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    """``pairwise_sqdist(a, b)`` from the Gram product ``a @ b.T`` and the
+    squared row norms of ``a`` and ``b``, for callers that already hold them.
+    """
+    d = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
     np.maximum(d, 0.0, out=d)
     if a.shape == b.shape and (a is b or np.array_equal(a, b)):
         np.fill_diagonal(d, 0.0)
@@ -68,65 +70,6 @@ def median(values) -> float:
         raise NumericError("median: input contains non-finite values")
     k = (v.size - 1) // 2
     return float(np.partition(v, k)[k])
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Moments and hyperparameters of one Adam run; owned by a single loop."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int
-    learning_rate: float
-    weight_decay: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-
-def adam_init(params: np.ndarray, learning_rate: float, weight_decay: float = 0.0,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
-    if weight_decay < 0:
-        raise ValueError("weight_decay must be nonnegative")
-    shape = np.shape(params)
-    return AdamState(
-        first_moment=np.zeros(shape),
-        second_moment=np.zeros(shape),
-        step_count=0,
-        learning_rate=learning_rate,
-        weight_decay=weight_decay,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
-
-
-def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One Adam update with bias correction and decoupled weight decay.
-
-    params <- params - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * params
-
-    Pure: returns fresh arrays and a fresh state, inputs are not mutated.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape or params.shape != state.first_moment.shape:
-        raise ShapeError(
-            f"adam_step: params {params.shape}, grad {grad.shape}, "
-            f"moments {state.first_moment.shape} must agree"
-        )
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_params = params - update - state.learning_rate * state.weight_decay * params
-    if not np.all(np.isfinite(new_params)):
-        raise NumericError("adam_step produced non-finite parameters")
-    return new_params, replace(state, first_moment=m, second_moment=v, step_count=t)
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -151,22 +151,6 @@ def empirical_nngp(a, b, sigma_w_sq, sigma_b_sq, width, n_draws, rng):
     return total / n_draws
 
 
-def reference_adam_trajectory(x0, grad_fn, steps, lr, wd=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Textbook Adam with decoupled weight decay, scalars only."""
-    x = float(x0)
-    m = v = 0.0
-    out = []
-    for t in range(1, steps + 1):
-        g = grad_fn(x)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        x = x - lr * m_hat / (math.sqrt(v_hat) + eps) - lr * wd * x
-        out.append(x)
-    return out
-
-
 def brute_force_assignment(overlap):
     """Best total overlap over all row->column permutations (square matrix)."""
     overlap = np.asarray(overlap, dtype=float)

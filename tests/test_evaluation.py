@@ -154,6 +154,14 @@ class TestEvaluate:
         assert report.per_class[1]["recall"] == 1.0
         assert report.per_class[1]["precision"] == pytest.approx(4 / 5)
 
+    def test_unmatched_prediction_never_correct_on_negative_gt(self):
+        # Three predicted classes for two ground-truth classes: one predicted
+        # class stays unmatched, and its frames are wrong even where gt is -1.
+        pred, gt = [0, 0, 1, 1, 2, 2], [-1, -1, -1, -1, 5, 5]
+        report = evaluate(pred, gt)
+        assert report.mof == pytest.approx(4 / 6)
+        assert mof(pred, gt, report.label_map) == report.mof
+
     def test_renaming_invariance(self):
         rng = make_rng(106)
         gt = rng.integers(0, 4, size=60)

@@ -9,7 +9,6 @@ from mmdseg import (
     KernelSpec,
     alpha_rescale,
     finite_diff_grad,
-    gauss_kernel,
     kernel_grad_b,
     kernel_matrix,
     make_rng,
@@ -52,18 +51,18 @@ class TestKernelSpec:
 class TestGaussKernel:
     def test_self_similarity_is_one(self):
         x = np.array([[0.3, -1.2]])
-        assert gauss_kernel(x, x, spec_for("gauss")).values[0, 0] == 1.0
+        assert kernel_matrix(x, x, spec_for("gauss"))[0, 0] == 1.0
 
     def test_unit_distance(self):
-        k = gauss_kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), spec_for("gauss", lengthscale=1.0))
-        assert k.values[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        k = kernel_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), spec_for("gauss", lengthscale=1.0))
+        assert k[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_matches_scalar_loop(self):
         rng = make_rng(21)
         a, b = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         spec = spec_for("gauss")
         expected = [[scalar_kernel_value(a[i], b[j], spec) for j in range(6)] for i in range(6)]
-        assert np.allclose(gauss_kernel(a, b, spec).values, expected, atol=1e-12)
+        assert np.allclose(kernel_matrix(a, b, spec), expected, atol=1e-12)
 
 
 class TestMedianLengthscale:
@@ -74,6 +73,20 @@ class TestMedianLengthscale:
     def test_identical_rows_degenerate(self):
         with pytest.raises(DegenerateScaleError):
             median_lengthscale(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+    def test_static_shot_uses_nonzero_distances(self):
+        # Six copies of one row: 15 of the 28 squared distances are zero, so
+        # the median runs over the 13 nonzero ones {1 x 6, 4, 9 x 6}.
+        x = np.array([[0.0]] * 6 + [[1.0], [3.0]])
+        assert median_lengthscale(x) == 4.0
+
+    def test_rounding_noise_is_not_a_distance(self):
+        # Near-duplicate unit rows: most distances round to exactly zero and
+        # the rest are rounding noise of the Gram expansion.
+        rng = make_rng(49)
+        x = np.repeat(sphere_project(rng.normal(size=(1, 64))), 20, axis=0) + 1e-9 * rng.normal(size=(20, 64))
+        with pytest.raises(DegenerateScaleError, match="rounding noise"):
+            median_lengthscale(x)
 
     def test_matches_full_enumeration(self):
         x = make_rng(22).normal(size=(50, 8))
@@ -180,10 +193,10 @@ class TestNtkInputScale:
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
         spec = resolve_spec(frames, KernelSpec(family="gauss_ntk"), make_rng(0, 0))
         centres = init_uniform_means(frames, 5)
-        ntk = kernel_matrix(frames, centres, replace(spec, family="ntk")).values
+        ntk = kernel_matrix(frames, centres, replace(spec, family="ntk"))
         spread = (ntk.max(axis=1) - ntk.min(axis=1)) / ntk.max(axis=1)
         assert np.median(spread) > 0.2
-        kernel_labels = np.argmax(kernel_matrix(frames, centres, spec).values, axis=1)
+        kernel_labels = np.argmax(kernel_matrix(frames, centres, spec), axis=1)
         l2_labels = np.argmin(pairwise_sqdist(frames, centres), axis=1)
         assert np.any(kernel_labels != l2_labels)
 
@@ -252,28 +265,31 @@ class TestAlphaRescale:
         sph = alpha_rescale(x, spec_for("gauss_ntk_sphere", lengthscale=5.0))
         assert raw != sph
 
+    def test_underflowing_gauss_median_degenerate(self):
+        # Near-duplicate rows: the squared distances are rounding noise, and
+        # exp(-d / lengthscale^2) underflows to zero on most pairs.
+        rng = make_rng(48)
+        x = np.repeat(sphere_project(rng.normal(size=(1, 256))), 20, axis=0) + 1e-9 * rng.normal(size=(20, 256))
+        spec = spec_for("gauss_ntk", lengthscale=median_lengthscale(x))
+        with pytest.raises(DegenerateScaleError, match="underflows"):
+            alpha_rescale(x, spec)
+
 
 class TestKernelMatrix:
     def test_product_family_single_row(self):
         spec = spec_for("gauss_ntk")
         x = np.array([[0.5, -0.7, 0.2]])
         _, _, ntk = ntk_base(x[0], x[0], spec)
-        got = kernel_matrix(x, x, spec).values[0, 0]
+        got = kernel_matrix(x, x, spec)[0, 0]
         assert got == pytest.approx(spec.alpha * ntk * 1.0, rel=1e-12)
-
-    def test_gauss_dispatch_identity(self):
-        rng = make_rng(32)
-        a, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        spec = spec_for("gauss")
-        assert np.array_equal(kernel_matrix(a, b, spec).values, gauss_kernel(a, b, spec).values)
 
     def test_product_equals_factor_product(self):
         rng = make_rng(33)
         a, b = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
         spec = spec_for("gauss_ntk")
-        prod = kernel_matrix(a, b, spec).values
-        gauss = kernel_matrix(a, b, spec_for("gauss")).values
-        ntk = kernel_matrix(a, b, spec_for("ntk")).values
+        prod = kernel_matrix(a, b, spec)
+        gauss = kernel_matrix(a, b, spec_for("gauss"))
+        ntk = kernel_matrix(a, b, spec_for("ntk"))
         assert np.allclose(prod, spec.alpha * ntk * gauss, atol=1e-12)
 
     def test_matches_scalar_oracle_all_families(self):
@@ -281,7 +297,7 @@ class TestKernelMatrix:
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
         for family in FAMILIES:
             spec = spec_for(family)
-            got = kernel_matrix(a, b, spec).values
+            got = kernel_matrix(a, b, spec)
             expected = [[scalar_kernel_value(a[i], b[j], spec) for j in range(3)] for i in range(4)]
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-13), family
 
@@ -290,7 +306,7 @@ class TestKernelMatrix:
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
         for family in FAMILIES:
             spec = spec_for(family, input_scale=2.3)
-            got = kernel_matrix(a, b, spec).values
+            got = kernel_matrix(a, b, spec)
             expected = [[scalar_kernel_value(a[i], b[j], spec) for j in range(3)] for i in range(4)]
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-13), family
 
@@ -311,7 +327,7 @@ class TestKernelGradB:
         for _ in range(10):
             a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
             grad = kernel_grad_b(a, b, spec)
-            fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec).values[0, 0], b[None, :], 1e-4)[0]
+            fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec)[0, 0], b[None, :], 1e-4)[0]
             denom = max(float(np.max(np.abs(fd))), 1e-12)
             assert np.max(np.abs(grad - fd)) / denom < 1e-4, family
 
@@ -322,7 +338,7 @@ class TestKernelGradB:
         for _ in range(10):
             a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
             grad = kernel_grad_b(a, b, spec)
-            fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec).values[0, 0], b[None, :], 1e-5)[0]
+            fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec)[0, 0], b[None, :], 1e-5)[0]
             denom = max(float(np.max(np.abs(fd))), 1e-12)
             assert np.max(np.abs(grad - fd)) / denom < 1e-4, family
 
@@ -332,8 +348,8 @@ class TestKernelGradB:
         for _ in range(5):
             a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
             grad = kernel_grad_b(a, b, spec)
-            g_val = kernel_matrix(a[None], b[None], spec_for("gauss")).values[0, 0]
-            n_val = kernel_matrix(a[None], b[None], spec_for("ntk")).values[0, 0]
+            g_val = kernel_matrix(a[None], b[None], spec_for("gauss"))[0, 0]
+            n_val = kernel_matrix(a[None], b[None], spec_for("ntk"))[0, 0]
             g_grad = kernel_grad_b(a, b, spec_for("gauss"))
             n_grad = kernel_grad_b(a, b, spec_for("ntk"))
             recomposed = spec.alpha * (n_grad * g_val + n_val * g_grad)
@@ -346,8 +362,8 @@ class TestKernelProperties:
         rng = make_rng(37)
         spec = spec_for(family)
         x, y = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
-        kxy = kernel_matrix(x, y, spec).values
-        kyx = kernel_matrix(y, x, spec).values
+        kxy = kernel_matrix(x, y, spec)
+        kyx = kernel_matrix(y, x, spec)
         assert np.allclose(kxy, kyx.T, atol=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -356,14 +372,14 @@ class TestKernelProperties:
         spec = spec_for(family)
         for _ in range(20):
             pts = rng.normal(size=(int(rng.integers(2, 13)), 4))
-            gram = kernel_matrix(pts, pts, spec).values
+            gram = kernel_matrix(pts, pts, spec)
             eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
             assert eig.min() >= -1e-8 * max(eig.max(), 1.0), family
 
     def test_gauss_range(self):
         rng = make_rng(39)
         x = rng.normal(size=(10, 3))
-        vals = kernel_matrix(x, x, spec_for("gauss")).values
+        vals = kernel_matrix(x, x, spec_for("gauss"))
         assert np.all(vals > 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diag(vals) == 1.0)
 

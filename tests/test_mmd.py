@@ -6,8 +6,6 @@ import pytest
 from mmdseg import (
     FAMILIES,
     KernelSpec,
-    adam_init,
-    adam_step,
     finite_diff_grad,
     kernel_matrix,
     make_batch_plan,
@@ -150,8 +148,8 @@ class TestSimplexWeights:
             spec = spec_for(family)
             m = int(rng.integers(1, 6))
             x, y = rng.normal(size=(int(rng.integers(2, 9)), 3)), rng.normal(size=(m, 3))
-            kyy = kernel_matrix(y, y, spec).values
-            b = kernel_matrix(x, y, spec).values.mean(axis=0)
+            kyy = kernel_matrix(y, y, spec)
+            b = kernel_matrix(x, y, spec).mean(axis=0)
             w = simplex_weights(kyy, b)
             assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
             best, _ = simplex_qp_by_supports(kyy, b)
@@ -166,8 +164,8 @@ class TestSimplexWeights:
             copies = base[rng.integers(0, base.shape[0], size=int(rng.integers(1, 4)))]
             y = np.vstack([base, copies + rng.choice([0.0, 1e-9]) * rng.normal(size=copies.shape)])
             x = rng.normal(size=(6, 3))
-            kyy = kernel_matrix(y, y, spec).values
-            b = kernel_matrix(x, y, spec).values.mean(axis=0)
+            kyy = kernel_matrix(y, y, spec)
+            b = kernel_matrix(x, y, spec).mean(axis=0)
             w = simplex_weights(kyy, b)
             assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
             best, _ = simplex_qp_by_supports(kyy, b)
@@ -179,8 +177,8 @@ class TestSimplexWeights:
         x, y = rng.normal(size=(6, 2)), rng.normal(size=(2, 2))
         y = np.vstack([y, y[:1]])
         spec = spec_for("gauss")
-        kyy = kernel_matrix(y, y, spec).values
-        b = kernel_matrix(x, y, spec).values.mean(axis=0)
+        kyy = kernel_matrix(y, y, spec)
+        b = kernel_matrix(x, y, spec).mean(axis=0)
         w = simplex_weights(kyy, b)
         best, w_ref = simplex_qp_by_supports(kyy, b)
         assert w @ kyy @ w - 2.0 * b @ w == pytest.approx(best, abs=1e-9)
@@ -191,8 +189,8 @@ class TestSimplexWeights:
         spec = spec_for("gauss_ntk")
         for _ in range(20):
             x, y = rng.normal(size=(8, 3)), rng.normal(size=(4, 3))
-            w = simplex_weights(kernel_matrix(y, y, spec).values,
-                                kernel_matrix(x, y, spec).values.mean(axis=0))
+            w = simplex_weights(kernel_matrix(y, y, spec),
+                                kernel_matrix(x, y, spec).mean(axis=0))
             assert mmd2(x, y, spec, w) <= mmd2(x, y, spec) + 1e-12
 
     def test_two_orthogonal_rows_closed_form(self):
@@ -201,8 +199,8 @@ class TestSimplexWeights:
         x = make_rng(69).normal(size=(10, 2)) * 0.3
         y = np.array([[0.0, 0.0], [50.0, 50.0]])
         spec = KernelSpec(family="gauss", lengthscale=1.0)
-        b = kernel_matrix(x, y, spec).values.mean(axis=0)
-        w = simplex_weights(kernel_matrix(y, y, spec).values, b)
+        b = kernel_matrix(x, y, spec).mean(axis=0)
+        w = simplex_weights(kernel_matrix(y, y, spec), b)
         assert w[0] == pytest.approx((1.0 + b[0] - b[1]) / 2.0, abs=1e-12)
         far = simplex_weights(np.eye(2), np.array([2.0, 0.0]))
         assert np.array_equal(far, [1.0, 0.0])
@@ -238,9 +236,8 @@ class TestConvergence:
         ])
         spec = KernelSpec(family="gauss", lengthscale=1.5)
         y = np.array([[0.5, 0.5], [-0.5, -0.5]])
-        state = adam_init(y, learning_rate=5e-2)
         for _ in range(200):
-            y, state = adam_step(y, mmd2_grad_y(x, y, spec), state)
+            y = y - 1.0 * mmd2_grad_y(x, y, spec)
         dists = np.linalg.norm(y[:, None, :] - np.stack([mean_a, mean_b])[None, :, :], axis=2)
         closest = dists.min(axis=1)
         assert np.all(closest < 0.1)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mmdseg import adam_init, adam_step, finite_diff_grad, make_rng, median, pairwise_sqdist
+from mmdseg import finite_diff_grad, make_rng, median, pairwise_sqdist
 from mmdseg.errors import NumericError, ShapeError
 
-from oracles import naive_pairwise_sqdist, reference_adam_trajectory
+from oracles import naive_pairwise_sqdist
 
 
 class TestPairwiseSqdist:
@@ -53,48 +53,6 @@ class TestMedian:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             median([])
-
-
-class TestAdam:
-    def test_zero_grad_no_decay_is_identity(self):
-        params = np.array([[1.0, -2.0], [0.5, 3.0]])
-        state = adam_init(params, learning_rate=0.1, weight_decay=0.0)
-        new_params, new_state = adam_step(params, np.zeros_like(params), state)
-        assert np.array_equal(new_params, params)
-        assert np.all(new_state.first_moment == 0.0)
-        assert np.all(new_state.second_moment == 0.0)
-        assert new_state.step_count == 1
-
-    def test_first_step_moves_by_learning_rate(self):
-        params = np.array([[1.0]])
-        state = adam_init(params, learning_rate=0.1)
-        new_params, _ = adam_step(params, np.array([[1.0]]), state)
-        assert new_params[0, 0] == pytest.approx(0.9, abs=1e-6)
-
-    def test_trajectory_matches_reference(self):
-        # f(x) = x^2 from x = 1: grad is 2x, 20 steps, same knobs both sides.
-        params = np.array([[1.0]])
-        state = adam_init(params, learning_rate=0.05, weight_decay=1e-3)
-        ours = []
-        for _ in range(20):
-            params, state = adam_step(params, 2.0 * params, state)
-            ours.append(params[0, 0])
-        ref = reference_adam_trajectory(1.0, lambda x: 2.0 * x, 20, lr=0.05, wd=1e-3)
-        assert np.allclose(ours, ref, atol=1e-10)
-
-    def test_zero_learning_rate_rejected_but_tiny_ok(self):
-        # The state type demands lr > 0; the lr -> 0 limit is the identity.
-        with pytest.raises(ValueError):
-            adam_init(np.zeros((1, 1)), learning_rate=0.0)
-        params = np.array([[1.0, -2.0]])
-        state = adam_init(params, learning_rate=1e-300)
-        stepped, _ = adam_step(params, np.array([[3.0, -1.0]]), state)
-        assert np.array_equal(stepped, params)
-
-    def test_shape_mismatch(self):
-        state = adam_init(np.zeros((2, 2)), learning_rate=0.1)
-        with pytest.raises(ShapeError):
-            adam_step(np.zeros((2, 2)), np.zeros((2, 3)), state)
 
 
 class TestFiniteDiff:
