@@ -2,41 +2,33 @@
 
 Evaluates each closed-form kernel on a toy point set, checks the properties
 the segmentation pipeline relies on (symmetry, positive semidefiniteness,
-Gaussian range), and shows the two data-derived scales: the median-heuristic
-lengthscale and the product-kernel rescaling.
+Gaussian range), and shows the data-derived scales that ``resolve_spec``
+fixes in one pass: the median-heuristic lengthscale, the NTK input scale and
+the product-kernel rescaling.
 """
 
 import numpy as np
 
-from mmdseg import (
-    FAMILIES,
-    KernelSpec,
-    alpha_rescale,
-    kernel_matrix,
-    make_rng,
-    median_lengthscale,
-    ntk_base,
-)
-from mmdseg.kernels import ntk_input_scale
+from mmdseg import FAMILIES, KernelSpec, kernel_matrix, make_rng, ntk_base, resolve_spec
 
 rng = make_rng(0)
 x = rng.normal(size=(8, 5))
 
 print("Toy data: 8 points in 5-D\n")
 
-# The Gaussian lengthscale comes from the data itself: the median of the
-# squared pairwise distances. It is frozen before training, so the objective
-# stays stationary (a Gaussian alone, learned jointly, would grow into a
-# constant kernel with zero MMD).
-lam = median_lengthscale(x)
-print(f"median-heuristic lengthscale: {lam:.4f}")
-
-spec = KernelSpec(family="gauss_ntk", lengthscale=lam)
-alpha = alpha_rescale(x, spec)
-print(f"product-kernel rescaling alpha = med(gauss)/med(ntk): {alpha:.4f}\n")
+# The scales come from the data itself, in one pass over its pairs: the
+# Gaussian lengthscale is the median of the squared pairwise distances, and
+# the product kernel's alpha brings its two factors into the same range.
+# They are frozen before training, so the objective stays stationary (a
+# Gaussian alone, learned jointly, would grow into a constant kernel with
+# zero MMD).
+spec = resolve_spec(x, KernelSpec(family="gauss_ntk"))
+print(f"median-heuristic lengthscale: {spec.lengthscale:.4f}")
+print(f"NTK input scale: {spec.input_scale:.4f}")
+print(f"product-kernel rescaling alpha = med(gauss)/med(ntk): {spec.alpha:.4f}\n")
 
 for family in FAMILIES:
-    fam_spec = KernelSpec(family=family, lengthscale=lam, alpha=alpha)
+    fam_spec = resolve_spec(x, KernelSpec(family=family))
     gram = kernel_matrix(x, x, fam_spec)
     eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     sym = np.max(np.abs(gram - gram.T))
@@ -63,7 +55,7 @@ print(f"orthogonal pair:              NNGP {nngp_orth:.4f}, NTK {ntk_orth:.4f}")
 # scale r = sqrt(d / med ||x||^2) for the network.
 rows = make_rng(1).normal(size=(6, 2000))
 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-for r in (1.0, ntk_input_scale(rows, spec_ntk)):
+for r in (1.0, resolve_spec(rows, spec_ntk).input_scale):
     gram = kernel_matrix(rows, rows, KernelSpec(family="ntk", input_scale=r))
     off = gram[~np.eye(6, dtype=bool)]
     print(f"unit rows in 2000-D, input scale {r:6.2f}: off-diagonal NTK "

@@ -22,10 +22,8 @@ from .evaluation import EvalReport, boundary_accuracy, evaluate, f1, hungarian_m
 from .kernels import (
     FAMILIES,
     KernelSpec,
-    alpha_rescale,
     kernel_grad_b,
     kernel_matrix,
-    median_lengthscale,
     ntk_base,
     resolve_spec,
     sphere_project,

@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
     p_seg.add_argument("--normalize", action="store_true", help="L2-normalize frames after smoothing")
     p_seg.add_argument("--seed", type=int, default=0)
-    p_seg.add_argument("--no-train", action="store_true")
+    p_seg.add_argument("--no-train", action="store_true", help="same as --epochs 0")
     p_seg.add_argument("--baseline", choices=["uniform", "kmeans", "kernel-kmeans"])
     p_seg.add_argument("--exclude-bg", type=int, default=None)
     p_seg.add_argument("--boundary-tol", type=int, default=3)
@@ -138,6 +138,7 @@ def cmd_segment(args) -> int:
     video = load_features(args.features, labels_path=args.labels)
     profile = _segment_profile(args)
     epochs = args.epochs if args.epochs is not None else _default_epochs(args.profile)
+    epochs = 0 if args.no_train else epochs
     train_log: list[float] = []
 
     if args.baseline == "uniform":
@@ -152,8 +153,7 @@ def cmd_segment(args) -> int:
         seg = kernel_kmeans_assign(prepped.frames, centers, spec)
     else:
         cfg = TrainConfig(m=args.m, epochs=epochs, learning_rate=args.lr, weight_decay=args.wd,
-                          seed=args.seed, no_train=args.no_train,
-                          kernel=KernelSpec(family=args.kernel))
+                          seed=args.seed, kernel=KernelSpec(family=args.kernel))
         approx, seg = segment_video(video, cfg, profile)
         train_log = approx.train_log
 
@@ -204,9 +204,12 @@ def draw_m(mbar: int, mode: str, rng: np.random.Generator) -> int:
 
 
 def _randm_task(payload):
-    (feat_path, labels_path, m_used, method, kernel_family, profile_name,
+    (feat_path, labels_path, m_drawn, method, kernel_family, profile_name,
      mode, train_seed, boundary_tol) = payload
     video = load_features(feat_path, labels_path=labels_path)
+    m_used = min(max(1, m_drawn), video.n_frames)
+    if m_used != m_drawn:
+        print(f"note: {Path(feat_path).stem}: drawn M {m_drawn} clamped to {m_used}", file=sys.stderr)
     profile = PROFILES[profile_name]
     if method == "uniform":
         seg = uniform_segmentation(video.n_frames, m_used)
@@ -233,13 +236,9 @@ def cmd_randm(args) -> int:
         labels = feat.with_name(feat.name.replace("_features.txt", "_labels.txt"))
         if not labels.exists():
             raise ConsistencyError(f"missing label file for {feat.name}")
-        n_frames = sum(1 for line in open(feat, "r", encoding="utf-8") if line.strip())
         m_drawn = draw_m(args.mbar, args.mode, make_rng(args.seed, 50, idx))
-        m_used = min(max(1, m_drawn), n_frames)
-        if m_used != m_drawn:
-            print(f"note: {feat.stem}: drawn M {m_drawn} clamped to {m_used}", file=sys.stderr)
         train_seed = int(np.random.SeedSequence([args.seed, 51, idx]).generate_state(1)[0])
-        tasks.append((str(feat), str(labels), m_used, args.method, args.kernel,
+        tasks.append((str(feat), str(labels), m_drawn, args.method, args.kernel,
                       args.profile, args.mode, train_seed, args.boundary_tol))
 
     if args.jobs > 1:

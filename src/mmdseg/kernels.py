@@ -27,8 +27,14 @@ and the NTK factor would be numerically constant). ``resolve_spec`` therefore
 freezes, per video, r = sqrt(d / med ||x||^2) over the rows the network sees
 (the sphere-projected rows for the ``_sphere`` families, where r = sqrt(d)).
 The network's input is ``r * x``: the closed form, its gradient and the
-finite-width network all describe that same network, and ``alpha_rescale``
-uses the same r. An unresolved spec has r = 1, the plain network.
+finite-width network all describe that same network, and the product
+rescaling alpha uses the same r. An unresolved spec has r = 1, the plain
+network.
+
+Scales: ``resolve_spec`` fixes a video's lengthscale, input scale and alpha
+in one pass. It samples at most ``MAX_SCALE_FRAMES`` frames once and takes
+the pair statistics of both medians from one Gram product of the raw sample
+(one more on the projected sample for ``gauss_ntk_sphere``).
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -59,7 +65,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .numerics import make_rng, median, pairwise_sqdist, sqdist_from_gram
+from .numerics import make_rng, median, sqdist_from_gram
 
 __all__ = [
     "FAMILIES",
@@ -69,9 +75,6 @@ __all__ = [
     "ntk_base",
     "kernel_matrix",
     "kernel_grad_b",
-    "median_lengthscale",
-    "ntk_input_scale",
-    "alpha_rescale",
     "resolve_spec",
 ]
 
@@ -80,9 +83,8 @@ PRODUCT_FAMILIES = ("gauss_ntk", "gauss_ntk_sphere")
 GAUSS_FAMILIES = ("gauss",) + PRODUCT_FAMILIES
 SPHERE_FAMILIES = ("ntk_sphere", "gauss_ntk_sphere")
 
-# Pair-sampling caps used when deriving lengthscale / rescaling from data.
+# Frames sampled (seeded) when a video's scales are taken from its frames.
 MAX_SCALE_FRAMES = 2000
-MAX_SCALE_PAIRS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -269,120 +271,81 @@ def kernel_grad_b(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> np.
     return grad
 
 
-def _sampled_pairs(x: np.ndarray, max_pairs: int, rng, max_frames: int):
-    """Distinct-pair index arrays (i, j) into a possibly subsampled ``x``."""
-    n = x.shape[0]
-    if n > max_frames:
-        keep = np.sort(rng.choice(n, size=max_frames, replace=False))
-        x = x[keep]
-        n = max_frames
-    n_pairs = n * (n - 1) // 2
-    if n_pairs <= max_pairs:
-        i, j = np.triu_indices(n, k=1)
-    else:
-        i = rng.integers(0, n, size=max_pairs)
-        j = rng.integers(0, n, size=max_pairs)
-        clash = i == j
-        while np.any(clash):
-            j[clash] = rng.integers(0, n, size=int(clash.sum()))
-            clash = i == j
-    return x, i, j
+def resolve_spec(frames: np.ndarray, spec: KernelSpec,
+                 rng: np.random.Generator | None = None) -> KernelSpec:
+    """Freeze the data-derived parameters of ``spec`` for one video.
 
+    One pass over one sample: at most ``MAX_SCALE_FRAMES`` frames (seeded,
+    kept in order), their distinct pairs, and one Gram product of their raw
+    rows with the squared row norms. From these come
 
-def median_lengthscale(x: np.ndarray, max_pairs: int = MAX_SCALE_PAIRS,
-                       rng: np.random.Generator | None = None,
-                       max_frames: int = MAX_SCALE_FRAMES) -> float:
-    """Median of squared pairwise distances over distinct rows of ``x``.
+    - ``lengthscale``, the median squared pairwise distance. A distance at or
+      below the rounding error of the Gram expansion, d * eps * max ||x||^2,
+      counts as zero. When the median is zero (a still frame held for most
+      of the video) it runs over the nonzero distances, so the lengthscale
+      measures how the frames that do differ differ; when none is left the
+      scale has collapsed and ``DegenerateScaleError`` is raised;
+    - for NTK families, the network's input scale r = sqrt(d / med ||x||^2),
+      over all frames as the network sees them (sphere-projected for the
+      ``_sphere`` families);
+    - for product families, alpha = med(gauss) / med(ntk) over the sampled
+      pairs, which brings the two factors into the same range. The
+      ``_sphere`` NTK takes one more Gram product, on the projected sample.
 
-    Long inputs are subsampled (seeded) to at most ``max_frames`` rows and
-    ``max_pairs`` pairs before taking the median. When at least half of the
-    sampled distances are zero (a still frame held for most of the video),
-    the median runs over the nonzero ones, so the lengthscale measures how
-    the frames that do differ differ. In that case a distance within the
-    rounding error of the Gram expansion, d * eps * max ||x||^2, counts as
-    zero: a lengthscale made of rounding noise would blow up the gradient.
+    All are computed once, before any optimization, and never touched again.
     """
-    x = _as_2d(x)
-    if x.shape[0] < 2:
-        raise ValueError("median_lengthscale needs at least 2 rows")
+    x = _as_2d(frames)
+    n, d = x.shape
+    if n < 2:
+        raise ValueError("resolve_spec needs at least 2 frames")
     rng = rng if rng is not None else make_rng(0)
-    x, i, j = _sampled_pairs(x, max_pairs, rng, max_frames)
-    sqdist = pairwise_sqdist(x, x)[i, j]
-    lam = median(sqdist)
-    if lam <= 0.0:
-        noise = x.shape[1] * np.finfo(np.float64).eps * float(np.max(np.sum(x * x, axis=1)))
+    family = spec.family
+    keep = slice(None)
+    if n > MAX_SCALE_FRAMES:
+        keep = np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
+    sq_all = np.sum(x * x, axis=1)
+    sample, sq = x[keep], sq_all[keep]
+    gram = sample @ sample.T
+    i, j = np.triu_indices(sample.shape[0], k=1)
+    sqdist = sqdist_from_gram(sample, sample, gram, sq, sq)[i, j]
+    noise = d * np.finfo(np.float64).eps * float(np.max(sq))
+    lengthscale = median(sqdist)
+    if lengthscale <= noise:
         moving = sqdist[sqdist > noise]
         if moving.size == 0:
             raise DegenerateScaleError(
                 "every sampled squared distance is zero or rounding noise (are all frames identical?)"
             )
-        lam = median(moving)
-    return lam
+        lengthscale = median(moving)
+        del moving
+    resolved = replace(spec, lengthscale=lengthscale)
+    if family == "gauss":
+        return resolved
+    if family in PRODUCT_FAMILIES:
+        med_gauss = median(_gauss(sqdist, resolved))
+    else:
+        del sample, gram, i, j  # not needed again; free them before the input scale
+    del sqdist
 
-
-def ntk_input_scale(x: np.ndarray, spec: KernelSpec) -> float:
-    """Input scale r = sqrt(d / med ||x||^2) for the NTK network of ``spec``.
-
-    The median runs over the rows the network sees (sphere-projected for the
-    ``_sphere`` families), so the scaled rows satisfy the ``||x||^2 / d ~ 1``
-    convention of the closed form's 1/d.
-    """
-    x = _as_2d(x)
-    xs = sphere_project(x) if spec.family in SPHERE_FAMILIES else x
-    med_sq = median(np.sum(xs * xs, axis=1))
+    projected = sphere_project(x) if family in SPHERE_FAMILIES else None
+    med_sq = median(sq_all if projected is None else np.sum(projected * projected, axis=1))
     if med_sq <= 0.0:
         raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
-    return math.sqrt(xs.shape[1] / med_sq)
+    resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
+    if family not in PRODUCT_FAMILIES:
+        return resolved
 
-
-def alpha_rescale(x: np.ndarray, spec: KernelSpec, max_pairs: int = MAX_SCALE_PAIRS,
-                  rng: np.random.Generator | None = None,
-                  max_frames: int = MAX_SCALE_FRAMES) -> float:
-    """Ratio med(gauss) / med(ntk) over sampled distinct row pairs of ``x``.
-
-    Brings the two factors of a product kernel into the same range. Uses the
-    NTK variant the product family calls for (sphere-projected or raw).
-    """
-    x = _as_2d(x)
-    if x.shape[0] < 2:
-        raise ValueError("alpha_rescale needs at least 2 rows")
-    rng = rng if rng is not None else make_rng(0)
-    x, i, j = _sampled_pairs(x, max_pairs, rng, max_frames)
-    gram = x @ x.T
-    sq = np.sum(x * x, axis=1)
-    gauss_vals = _gauss(sqdist_from_gram(x, x, gram, sq, sq)[i, j], spec)
-    if spec.family in SPHERE_FAMILIES:
-        xs = sphere_project(x)
-        gram = xs @ xs.T
-    s = _k0_factor(x.shape[1], spec)
+    if projected is not None:
+        sample = projected[keep]
+        gram = sample @ sample.T
+    s = _k0_factor(d, resolved)
     k0_diag = s * np.diag(gram) + spec.sigma_b_sq
     p = np.sqrt(k0_diag[i] * k0_diag[j])
-    med_ntk = median(_arccos_form(s * gram[i, j] + spec.sigma_b_sq, p, spec))
+    med_ntk = median(_arccos_form(s * gram[i, j] + spec.sigma_b_sq, p, resolved))
     if med_ntk <= 0.0:
         raise DegenerateScaleError("median NTK value is not positive; cannot rescale")
-    med_gauss = median(gauss_vals)
     if med_gauss == 0.0:
         raise DegenerateScaleError(
             "median Gaussian value underflows to zero (are most frames near-identical?)"
         )
-    return med_gauss / med_ntk
-
-
-def resolve_spec(frames: np.ndarray, spec: KernelSpec,
-                 rng: np.random.Generator | None = None,
-                 max_pairs: int = MAX_SCALE_PAIRS,
-                 max_frames: int = MAX_SCALE_FRAMES) -> KernelSpec:
-    """Freeze the data-derived parameters of ``spec`` for one video.
-
-    Sets the Gaussian lengthscale from the median heuristic, for NTK
-    families the network's input scale, and for product families the
-    ntk/gauss rescaling under that input scale; all are computed once, before
-    any optimization, and never touched again.
-    """
-    rng = rng if rng is not None else make_rng(0)
-    resolved = replace(spec, lengthscale=median_lengthscale(frames, max_pairs, rng, max_frames))
-    if spec.family != "gauss":
-        resolved = replace(resolved, input_scale=ntk_input_scale(frames, resolved))
-    if spec.family in PRODUCT_FAMILIES:
-        resolved = replace(resolved, alpha=alpha_rescale(frames, resolved, max_pairs, rng, max_frames))
-    return resolved
+    return replace(resolved, alpha=med_gauss / med_ntk)

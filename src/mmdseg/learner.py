@@ -51,7 +51,6 @@ class TrainConfig:
     learning_rate: float = 5e-2
     weight_decay: float = 1e-3
     seed: int = 0
-    no_train: bool = False
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
@@ -166,10 +165,9 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     weights = np.full(cfg.m, 1.0 / cfg.m)
     kyy, kxy_mean = loss_terms(prototypes)
     train_log = [mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights)]
-    epochs = 0 if cfg.no_train else cfg.epochs
-    if epochs > 0:
+    if cfg.epochs > 0:
         weights = simplex_weights(kyy, kxy_mean)
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         plan = make_batch_plan(n, cfg.m, rng_batches)
         for batch in plan.batches():
             grad = mmd2_grad_y(frames[batch], prototypes, spec, weights)
@@ -179,7 +177,7 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
         weights = simplex_weights(kyy, kxy_mean)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
     return Approximation(prototypes=prototypes, spec=spec, train_log=train_log,
-                         weights=None if epochs == 0 else weights)
+                         weights=None if cfg.epochs == 0 else weights)
 
 
 def kernel_argmax_labels(frames: np.ndarray, prototypes: np.ndarray, spec: KernelSpec,

@@ -248,6 +248,24 @@ class TestRandm:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("mbar, n_frames", [(8, 4), (1, 36)])
+    def test_drawn_m_clamped_to_frame_count(self, tmp_path, capsys, mbar, n_frames):
+        # Synthetic draws are mbar +- 1..5: above 4 frames for mbar 8, and
+        # below 1 for mbar 1 on the first seed that draws one.
+        seed = next(s for s in range(100) if not 1 <= draw_m(mbar, "synthetic", make_rng(s, 50, 0)) <= n_frames)
+        drawn = draw_m(mbar, "synthetic", make_rng(seed, 50, 0))
+        clamped = min(max(1, drawn), n_frames)
+        data = tmp_path / "data"
+        data.mkdir()
+        write_blob_video(data, name="v0", n_a=n_frames // 2, n_b=n_frames - n_frames // 2)
+        out = tmp_path / "c.csv"
+        assert main(["randm", "--features-dir", str(data), "--mbar", str(mbar), "--method", "uniform",
+                     "--mode", "synthetic", "--seed", str(seed), "--out", str(out)]) == 0
+        assert f"note: v0_features: drawn M {drawn} clamped to {clamped}" in capsys.readouterr().err
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert int(rows[0]["m_used"]) == clamped
+
     def test_missing_labels_exit_3(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

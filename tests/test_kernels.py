@@ -7,22 +7,21 @@ import pytest
 from mmdseg import (
     FAMILIES,
     KernelSpec,
-    alpha_rescale,
     finite_diff_grad,
     kernel_grad_b,
     kernel_matrix,
     make_rng,
-    median_lengthscale,
     ntk_base,
     pairwise_sqdist,
     sphere_project,
 )
-from mmdseg.kernels import ntk_input_scale, resolve_spec
+from mmdseg import kernels
+from mmdseg.kernels import resolve_spec
 from mmdseg.learner import init_uniform_means
 from mmdseg.synthgen import SynthConfig, generate_video
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError, KernelSpecError, ShapeError
 
-from oracles import empirical_nngp, empirical_ntk, scalar_kernel_value
+from oracles import empirical_nngp, empirical_ntk, naive_pairwise_sqdist, scalar_kernel_value
 
 
 def spec_for(family, lengthscale=2.0, alpha=1.3, **kw):
@@ -65,20 +64,52 @@ class TestGaussKernel:
         assert np.allclose(kernel_matrix(a, b, spec), expected, atol=1e-12)
 
 
+def lengthscale(x):
+    return resolve_spec(x, KernelSpec(family="gauss")).lengthscale
+
+
+def brute_force_scales(x, family):
+    """(lengthscale, input_scale, alpha) of ``resolve_spec`` on unsampled rows,
+    by enumeration over every distinct pair; alpha is the error message
+    expected when a median leaves no rescaling."""
+    n, d = x.shape
+    lower = (n * (n - 1) // 2 - 1) // 2
+    sq = naive_pairwise_sqdist(x, x)[np.triu_indices(n, k=1)]
+    noise = d * np.finfo(np.float64).eps * max(float(r @ r) for r in x)
+    lam = sorted(sq)[lower]
+    if lam <= noise:
+        moving = sorted(v for v in sq if v > noise)
+        lam = moving[(len(moving) - 1) // 2]
+    if family == "gauss":
+        return lam, 1.0, 1.0
+    rows = [r / math.sqrt(float(r @ r)) for r in x] if "sphere" in family else list(x)
+    r = math.sqrt(d / sorted(float(v @ v) for v in rows)[(n - 1) // 2])
+    if family not in kernels.PRODUCT_FAMILIES:
+        return lam, r, 1.0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g_spec = KernelSpec(family="gauss", lengthscale=lam)
+    n_spec = KernelSpec(family=family.replace("gauss_", ""), input_scale=r)
+    med_g = sorted(scalar_kernel_value(x[i], x[j], g_spec) for i, j in pairs)[lower]
+    med_n = sorted(scalar_kernel_value(x[i], x[j], n_spec) for i, j in pairs)[lower]
+    if med_n <= 0.0:
+        return lam, r, "median NTK value is not positive"
+    return lam, r, (med_g / med_n if med_g > 0.0 else "Gaussian value underflows")
+
+
 class TestMedianLengthscale:
     def test_tiny_exact_case(self):
         x = np.array([[0.0], [1.0], [2.0]])
-        assert median_lengthscale(x) == 1.0  # squared distances {1, 1, 4}
+        assert lengthscale(x) == 1.0  # squared distances {1, 1, 4}
 
     def test_identical_rows_degenerate(self):
         with pytest.raises(DegenerateScaleError):
-            median_lengthscale(np.array([[1.0, 2.0], [1.0, 2.0]]))
+            lengthscale(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
     def test_static_shot_uses_nonzero_distances(self):
         # Six copies of one row: 15 of the 28 squared distances are zero, so
         # the median runs over the 13 nonzero ones {1 x 6, 4, 9 x 6}.
         x = np.array([[0.0]] * 6 + [[1.0], [3.0]])
-        assert median_lengthscale(x) == 4.0
+        assert lengthscale(x) == 4.0
 
     def test_rounding_noise_is_not_a_distance(self):
         # Near-duplicate unit rows: most distances round to exactly zero and
@@ -86,21 +117,70 @@ class TestMedianLengthscale:
         rng = make_rng(49)
         x = np.repeat(sphere_project(rng.normal(size=(1, 64))), 20, axis=0) + 1e-9 * rng.normal(size=(20, 64))
         with pytest.raises(DegenerateScaleError, match="rounding noise"):
-            median_lengthscale(x)
+            lengthscale(x)
 
     def test_matches_full_enumeration(self):
         x = make_rng(22).normal(size=(50, 8))
         sq = [float(np.sum((x[i] - x[j]) ** 2)) for i in range(50) for j in range(i + 1, 50)]
         expected = sorted(sq)[(len(sq) - 1) // 2]
-        assert median_lengthscale(x, max_pairs=10**9) == pytest.approx(expected, rel=1e-12)
+        assert lengthscale(x) == pytest.approx(expected, rel=1e-12)
 
-    def test_subsampled_is_deterministic_and_close(self):
-        x = make_rng(23).normal(size=(60, 3))
-        a = median_lengthscale(x, max_pairs=200, rng=make_rng(5))
-        b = median_lengthscale(x, max_pairs=200, rng=make_rng(5))
-        assert a == b
-        full = median_lengthscale(x, max_pairs=10**9)
-        assert abs(a - full) / full < 0.5
+    def test_subsampled_is_deterministic_and_close(self, monkeypatch):
+        # Above the frame cap one seeded sample of rows serves every scale:
+        # lengthscale and alpha equal their brute-force values on the sampled
+        # rows, while the input scale still runs over all frames.
+        monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 30)
+        x = make_rng(23).normal(size=(60, 3)) * make_rng(24).uniform(0.5, 2.0, size=(60, 1))
+        keep = np.sort(make_rng(5).choice(60, size=30, replace=False))
+        for family in FAMILIES:
+            a = resolve_spec(x, KernelSpec(family=family), make_rng(5))
+            assert a == resolve_spec(x, KernelSpec(family=family), make_rng(5)), family
+            lam, _, alpha = brute_force_scales(x[keep], family)
+            _, r, _ = brute_force_scales(x, family)
+            assert a.lengthscale == pytest.approx(lam, rel=1e-12), family
+            assert a.input_scale == pytest.approx(r, rel=1e-12), family
+            assert a.alpha == pytest.approx(alpha, rel=1e-12), family
+        full = lengthscale(x)
+        assert a.lengthscale != full
+        assert abs(a.lengthscale - full) / full < 0.5
+
+
+class TestResolveSpec:
+    def test_pinned_scales_on_synthetic_video(self):
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        r, alpha = 48.49742261192856, 0.3300532723673633
+        expected = {"gauss": (1.0, 1.0), "nngp": (r, 1.0), "ntk": (r, 1.0), "ntk_sphere": (r, 1.0),
+                    "gauss_ntk": (r, alpha), "gauss_ntk_sphere": (r, alpha)}
+        for family in FAMILIES:
+            spec = resolve_spec(frames, KernelSpec(family=family), make_rng(0, 0))
+            got = (spec.lengthscale, spec.input_scale, spec.alpha)
+            assert got == (1.4478496238737182, *expected[family]), family
+
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError):
+            resolve_spec(np.ones((1, 3)), KernelSpec())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_brute_force_across_shapes_and_norms(self, family):
+        # Seeded property test: a constant dimension, 2 to 40 rows, row norms
+        # from 1e-6 to 1e6. The Gaussian median underflows on small-norm
+        # rows, and the NTK of a single obtuse pair can be negative; the
+        # product families report both as a degenerate scale.
+        rng = make_rng(51)
+        for n in (2, 3, 40):
+            for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                x = rng.normal(size=(n, 6))
+                x[:, 2] = 0.7
+                x *= scale / np.median(np.linalg.norm(x, axis=1))
+                lam, r, alpha = brute_force_scales(x, family)
+                if isinstance(alpha, str):
+                    with pytest.raises(DegenerateScaleError, match=alpha):
+                        resolve_spec(x, KernelSpec(family=family))
+                    continue
+                spec = resolve_spec(x, KernelSpec(family=family))
+                assert spec.lengthscale == pytest.approx(lam, rel=1e-9), (n, scale)
+                assert spec.input_scale == pytest.approx(r, rel=1e-12), (n, scale)
+                assert spec.alpha == pytest.approx(alpha, rel=1e-9), (n, scale)
 
 
 class TestNtkBase:
@@ -147,26 +227,30 @@ class TestNtkBase:
             ntk_base(np.zeros(0), np.zeros(0), KernelSpec(family="ntk"))
 
 
+def input_scale(x, family):
+    return resolve_spec(x, KernelSpec(family=family)).input_scale
+
+
 class TestNtkInputScale:
     def test_unit_rows_give_sqrt_d(self):
         x = sphere_project(make_rng(42).normal(size=(9, 16)))
-        assert ntk_input_scale(x, KernelSpec(family="ntk")) == pytest.approx(4.0, rel=1e-12)
+        assert input_scale(x, "ntk") == pytest.approx(4.0, rel=1e-12)
 
     def test_median_of_squared_norms(self):
         # squared norms {1, 4, 9}: lower median 4, so r = sqrt(2 / 4)
         x = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
-        assert ntk_input_scale(x, KernelSpec(family="gauss_ntk")) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert input_scale(x, "gauss_ntk") == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_sphere_families_see_projected_rows(self):
         x = 3.0 * sphere_project(make_rng(43).normal(size=(7, 9)))
-        assert ntk_input_scale(x, KernelSpec(family="gauss_ntk")) == pytest.approx(1.0, rel=1e-12)
-        assert ntk_input_scale(x, KernelSpec(family="gauss_ntk_sphere")) == pytest.approx(3.0, rel=1e-12)
+        assert input_scale(x, "gauss_ntk") == pytest.approx(1.0, rel=1e-12)
+        assert input_scale(x, "gauss_ntk_sphere") == pytest.approx(3.0, rel=1e-12)
 
     def test_mostly_zero_rows_degenerate(self):
         x = np.zeros((5, 3))
         x[0, 0] = 1.0
-        with pytest.raises(DegenerateScaleError):
-            ntk_input_scale(x, KernelSpec(family="ntk"))
+        with pytest.raises(DegenerateScaleError, match="row norm"):
+            input_scale(x, "ntk")
 
     def test_closed_form_is_the_network_on_scaled_inputs(self):
         # The unscaled closed form is checked against the finite-width network
@@ -218,61 +302,54 @@ class TestSphereProject:
             sphere_project(np.array([[0.0, 0.0]]))
 
 
+def alpha(x, family="gauss_ntk", **kw):
+    return resolve_spec(x, KernelSpec(family=family, **kw)).alpha
+
+
 class TestAlphaRescale:
     def test_ratio_of_equal_medians_is_one(self):
-        # Two rows -> a single pair; pick the lengthscale that makes the
-        # Gaussian value equal the NTK value on it.
+        # Two rows -> a single pair. Without bias the NTK is sigma_w_sq^2
+        # times its value at sigma_w_sq = 1, so pick the sigma_w_sq that
+        # makes it equal the Gaussian value on the pair.
         a, b = np.array([0.4, -0.2, 0.9]), np.array([-0.3, 0.5, 0.1])
         x = np.stack([a, b])
-        base = KernelSpec(family="gauss_ntk")
-        _, _, ntk_val = ntk_base(a, b, base)
         sq = float(np.sum((a - b) ** 2))
-        lam = math.sqrt(-sq / math.log(ntk_val))
-        spec = KernelSpec(family="gauss_ntk", lengthscale=lam)
-        assert alpha_rescale(x, spec) == pytest.approx(1.0, rel=1e-12)
+        r = math.sqrt(3 / min(float(a @ a), float(b @ b)))
+        _, _, ntk_val = ntk_base(a, b, KernelSpec(family="ntk", sigma_w_sq=1.0, sigma_b_sq=0.0,
+                                                   input_scale=r))
+        sw2 = math.sqrt(math.exp(-1.0 / sq) / ntk_val)
+        assert alpha(x, sigma_w_sq=sw2, sigma_b_sq=0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_positive_and_finite(self):
-        x = make_rng(29).normal(size=(12, 5))
-        spec = spec_for("gauss_ntk", lengthscale=float(median_lengthscale(x)))
-        alpha = alpha_rescale(x, spec)
-        assert alpha > 0 and math.isfinite(alpha)
+        value = alpha(make_rng(29).normal(size=(12, 5)))
+        assert value > 0 and math.isfinite(value)
 
     def test_matches_full_enumeration(self):
         x = make_rng(30).normal(size=(30, 5))
-        spec = spec_for("gauss_ntk", lengthscale=3.0)
-        g_spec = spec_for("gauss", lengthscale=3.0)
-        n_spec = spec_for("ntk")
-        pairs = [(i, j) for i in range(30) for j in range(i + 1, 30)]
-        g_vals = sorted(scalar_kernel_value(x[i], x[j], g_spec) for i, j in pairs)
-        n_vals = sorted(scalar_kernel_value(x[i], x[j], n_spec) for i, j in pairs)
-        expected = g_vals[(len(pairs) - 1) // 2] / n_vals[(len(pairs) - 1) // 2]
-        assert alpha_rescale(x, spec, max_pairs=10**9) == pytest.approx(expected, rel=1e-12)
+        _, _, expected = brute_force_scales(x, "gauss_ntk")
+        assert alpha(x) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_full_enumeration_with_input_scale(self):
-        x = make_rng(46).normal(size=(20, 5))
-        spec = spec_for("gauss_ntk", lengthscale=3.0, input_scale=1.7)
-        g_spec = spec_for("gauss", lengthscale=3.0)
-        n_spec = spec_for("ntk", input_scale=1.7)
-        pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
-        g_vals = sorted(scalar_kernel_value(x[i], x[j], g_spec) for i, j in pairs)
-        n_vals = sorted(scalar_kernel_value(x[i], x[j], n_spec) for i, j in pairs)
-        expected = g_vals[(len(pairs) - 1) // 2] / n_vals[(len(pairs) - 1) // 2]
-        assert alpha_rescale(x, spec, max_pairs=10**9) == pytest.approx(expected, rel=1e-12)
+        # Rows of norm ~90 put the resolved input scale far from 1.
+        x = 40.0 * make_rng(46).normal(size=(20, 5))
+        spec = resolve_spec(x, KernelSpec(family="gauss_ntk"))
+        assert spec.input_scale < 0.05
+        _, _, expected = brute_force_scales(x, "gauss_ntk")
+        assert spec.alpha == pytest.approx(expected, rel=1e-12)
 
     def test_sphere_family_uses_projected_ntk(self):
         x = make_rng(31).normal(size=(10, 4)) * 3.0
-        raw = alpha_rescale(x, spec_for("gauss_ntk", lengthscale=5.0))
-        sph = alpha_rescale(x, spec_for("gauss_ntk_sphere", lengthscale=5.0))
-        assert raw != sph
+        assert alpha(x, "gauss_ntk") != alpha(x, "gauss_ntk_sphere")
+        _, _, expected = brute_force_scales(x, "gauss_ntk_sphere")
+        assert alpha(x, "gauss_ntk_sphere") == pytest.approx(expected, rel=1e-12)
 
     def test_underflowing_gauss_median_degenerate(self):
-        # Near-duplicate rows: the squared distances are rounding noise, and
-        # exp(-d / lengthscale^2) underflows to zero on most pairs.
-        rng = make_rng(48)
-        x = np.repeat(sphere_project(rng.normal(size=(1, 256))), 20, axis=0) + 1e-9 * rng.normal(size=(20, 256))
-        spec = spec_for("gauss_ntk", lengthscale=median_lengthscale(x))
-        with pytest.raises(DegenerateScaleError, match="underflows"):
-            alpha_rescale(x, spec)
+        # Rows of norm ~1e-4: the lengthscale is the median squared distance,
+        # so the median Gaussian value exp(-1 / lengthscale) underflows to zero.
+        x = 1e-4 * make_rng(48).normal(size=(20, 8))
+        for family in kernels.PRODUCT_FAMILIES:
+            with pytest.raises(DegenerateScaleError, match="underflows"):
+                alpha(x, family)
 
 
 class TestKernelMatrix:
