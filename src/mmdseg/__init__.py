@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .evaluation import EvalReport, boundary_accuracy, evaluate, f1, hungarian_match, iou, mof
+from .evaluation import EvalReport, boundary_accuracy, evaluate, hungarian_match
 from .kernels import (
     FAMILIES,
     KernelSpec,
@@ -40,8 +40,8 @@ from .learner import (
     train_approximation,
     uniform_spans,
 )
-from .mmd import MmdBatchPlan, make_batch_plan, mmd2, mmd2_grad_y
-from .numerics import finite_diff_grad, make_rng, median, pairwise_sqdist
+from .mmd import mmd2, mmd2_grad_y
+from .numerics import make_rng, median, pairwise_sqdist
 from .preprocess import VideoFeatures, l2_normalize_rows, load_features, load_labels, temporal_smooth
 from .synthgen import SynthConfig, generate_moving5, generate_video, render_glyph, write_dataset
 

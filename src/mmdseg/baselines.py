@@ -13,6 +13,9 @@ from .numerics import pairwise_sqdist
 
 __all__ = ["uniform_segmentation", "kmeans_centroids", "kmeans_segmentation", "kernel_kmeans_assign"]
 
+# Most Lloyd iterations; the loop stops earlier once the labels are stable.
+KMEANS_ITERS = 100
+
 
 def uniform_segmentation(n: int, m: int) -> Segmentation:
     """m contiguous near-equal spans, span j labeled j."""
@@ -40,8 +43,7 @@ def _kmeans_pp_seed(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
     return frames[chosen].copy()
 
 
-def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator,
-                     iters: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm; returns (centroids, labels).
 
     Empty clusters are re-seeded to the point farthest from its assigned
@@ -55,7 +57,7 @@ def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator,
     centroids = _kmeans_pp_seed(frames, m, rng)
     prev_obj = np.inf
     labels = None
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         dists = pairwise_sqdist(frames, centroids)
         new_labels = np.argmin(dists, axis=1)
         closest = dists[np.arange(n), new_labels]
@@ -80,10 +82,9 @@ def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator,
     return centroids, labels
 
 
-def kmeans_segmentation(frames: np.ndarray, m: int, rng: np.random.Generator,
-                        iters: int = 100) -> Segmentation:
+def kmeans_segmentation(frames: np.ndarray, m: int, rng: np.random.Generator) -> Segmentation:
     """Frame labels from plain k-means in Euclidean space."""
-    _, labels = kmeans_centroids(frames, m, rng, iters)
+    _, labels = kmeans_centroids(frames, m, rng)
     return Segmentation.from_labels(labels)
 
 

@@ -124,7 +124,7 @@ def cmd_gen(args) -> int:
 def _segment_profile(args) -> Profile:
     profile = PROFILES[args.profile]
     if args.smooth is not None:
-        profile = replace(profile, name="custom", smooth_s=args.smooth)
+        profile = replace(profile, smooth_s=args.smooth)
     if args.normalize:
         profile = replace(profile, normalize=True)
     return profile
@@ -171,10 +171,10 @@ def cmd_eval(args) -> int:
         rows = []
         for path in args.aggregate:
             with open(path, "r", encoding="utf-8") as fh:
-                rep = json.load(fh)
-            rep = rep.get("report", rep)
+                doc = json.load(fh)
+            rep = doc.get("report", doc)
             rows.append({
-                "video": rep.get("video", Path(path).stem),
+                "video": rep.get("video", doc.get("name", Path(path).stem)),
                 "mof": rep["mof"], "iou": rep["iou"], "f1": rep["f1"],
                 "boundary_accuracy": rep.get("boundary_accuracy"),
             })

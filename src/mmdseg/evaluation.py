@@ -3,7 +3,8 @@ suite: MoF, IoU, F1, boundary accuracy, with optional background exclusion.
 
 Matching is per video: the (predicted x ground-truth) frame-overlap table is
 padded to square and solved exactly, so every metric is invariant to how the
-predicted labels happen to be numbered.
+predicted labels happen to be numbered. MoF, IoU and F1 are read from that
+same table.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ __all__ = [
     "EvalReport",
     "solve_assignment",
     "hungarian_match",
-    "mof",
-    "iou",
-    "f1",
     "boundary_accuracy",
     "evaluate",
     "aggregate_rows",
@@ -99,79 +97,50 @@ def _contingency(pred, gt):
     return pred_classes, gt_classes, table
 
 
-def hungarian_match(pred, gt, exclude_gt: int | None = None) -> dict[int, int | None]:
-    """Map each predicted class to the ground-truth class maximizing total
-    frame overlap; predicted classes matched to padding map to ``None``."""
-    pred, gt = _clean_pair(pred, gt, exclude_gt)
-    pred_classes, gt_classes, table = _contingency(pred, gt)
-    k = max(pred_classes.size, gt_classes.size)
-    padded = np.zeros((k, k), dtype=np.float64)
-    padded[: pred_classes.size, : gt_classes.size] = table
-    rows_for_col = solve_assignment(-padded)
-    col_for_row = {r: j for j, r in enumerate(rows_for_col)}
-    label_map: dict[int, int | None] = {}
-    for r, p_label in enumerate(pred_classes):
-        c = col_for_row[r]
-        label_map[int(p_label)] = int(gt_classes[c]) if c < gt_classes.size else None
-    return label_map
+def _scores(pred, gt):
+    """Label map, MoF, IoU, F1 and the per-class scores of a cleaned pair,
+    all from its one (predicted x ground-truth) overlap table.
 
-
-def _per_class_counts(pred, gt, label_map):
-    inverse = {g: p for p, g in label_map.items() if g is not None}
-    out = {}
-    for g in np.unique(gt):
-        g = int(g)
-        gt_mask = gt == g
-        if g in inverse:
-            pred_mask = pred == inverse[g]
-            inter = int(np.sum(pred_mask & gt_mask))
-            union = int(np.sum(pred_mask | gt_mask))
-            n_pred = int(np.sum(pred_mask))
-        else:
-            inter, union, n_pred = 0, int(np.sum(gt_mask)), 0
-        out[g] = (inter, union, n_pred, int(np.sum(gt_mask)))
-    return out
-
-
-def _scores(pred, gt, label_map) -> tuple[float, float, float, dict[int, dict[str, float]]]:
-    """MoF, IoU, F1 and the per-class scores, all from one count table.
-
-    MoF is the sum of the matched intersections over the evaluated frames, so
-    a frame of an unmatched predicted class is never correct, whatever its
-    ground-truth label.
+    The table, padded to square, is matched to maximize the total overlap.
+    For a matched class the intersection is the table cell and the union is
+    its row sum + column sum - cell. MoF is the sum of the matched
+    intersections over the evaluated frames, so a frame of an unmatched
+    predicted class is never correct, whatever its ground-truth label.
     """
-    counts = _per_class_counts(pred, gt, label_map)
+    pred_classes, gt_classes, table = _contingency(pred, gt)
+    k = max(table.shape)
+    padded = np.zeros((k, k), dtype=np.float64)
+    padded[: table.shape[0], : table.shape[1]] = table
+    rows = solve_assignment(-padded)[: gt_classes.size]  # predicted row per gt column
+    n_pred, n_gt = table.sum(axis=1), table.sum(axis=0)
+    label_map: dict[int, int | None] = dict.fromkeys(pred_classes.tolist())
     per_class = {}
-    for g, (inter, union, n_pred, n_gt) in counts.items():
-        precision = inter / n_pred if n_pred else 0.0
-        recall = inter / n_gt if n_gt else 0.0
+    correct = 0
+    for j, (g, r) in enumerate(zip(gt_classes.tolist(), rows)):
+        inter, pred_count = 0, 0
+        if r < pred_classes.size:
+            label_map[int(pred_classes[r])] = g
+            inter, pred_count = int(table[r, j]), int(n_pred[r])
+        gt_count = int(n_gt[j])
+        correct += inter
+        precision = inter / pred_count if pred_count else 0.0
+        recall = inter / gt_count
         per_class[g] = {
             "precision": precision,
             "recall": recall,
             "f1": 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0,
-            "iou": inter / union if union else 0.0,
+            "iou": inter / (pred_count + gt_count - inter),
         }
-    mof_value = sum(inter for inter, _, _, _ in counts.values()) / gt.size
-    return (mof_value,
+    return (label_map, correct / gt.size,
             float(np.mean([c["iou"] for c in per_class.values()])),
             float(np.mean([c["f1"] for c in per_class.values()])),
             per_class)
 
 
-def mof(pred, gt, label_map, exclude_gt: int | None = None) -> float:
-    """Fraction of evaluated frames whose predicted class is matched to
-    their ground-truth class."""
-    return _scores(*_clean_pair(pred, gt, exclude_gt), label_map)[0]
-
-
-def iou(pred, gt, label_map, exclude_gt: int | None = None) -> float:
-    """Unweighted mean over ground-truth classes of |intersection|/|union|."""
-    return _scores(*_clean_pair(pred, gt, exclude_gt), label_map)[1]
-
-
-def f1(pred, gt, label_map, exclude_gt: int | None = None) -> float:
-    """Unweighted mean over ground-truth classes of the per-class F1."""
-    return _scores(*_clean_pair(pred, gt, exclude_gt), label_map)[2]
+def hungarian_match(pred, gt, exclude_gt: int | None = None) -> dict[int, int | None]:
+    """Map each predicted class to the ground-truth class maximizing total
+    frame overlap; predicted classes matched to padding map to ``None``."""
+    return _scores(*_clean_pair(pred, gt, exclude_gt))[0]
 
 
 def _boundaries(labels) -> np.ndarray:
@@ -242,11 +211,8 @@ def evaluate(seg, gt, exclude_gt: int | None = None, boundary_tol: int | None = 
     """
     pred_labels = np.asarray(getattr(seg, "frame_labels", seg), dtype=np.int64).ravel()
     gt = np.asarray(gt, dtype=np.int64).ravel()
-    if pred_labels.size != gt.size:
-        raise ConsistencyError(f"pred has {pred_labels.size} frames but gt has {gt.size}")
-    label_map = hungarian_match(pred_labels, gt, exclude_gt)
-    mof_value, iou_value, f1_value, per_class = _scores(*_clean_pair(pred_labels, gt, exclude_gt),
-                                                        label_map)
+    label_map, mof_value, iou_value, f1_value, per_class = _scores(
+        *_clean_pair(pred_labels, gt, exclude_gt))
     return EvalReport(
         mof=mof_value,
         iou=iou_value,

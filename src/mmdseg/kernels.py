@@ -85,6 +85,8 @@ SPHERE_FAMILIES = ("ntk_sphere", "gauss_ntk_sphere")
 
 # Frames sampled (seeded) when a video's scales are taken from its frames.
 MAX_SCALE_FRAMES = 2000
+# The arccos argument is clamped to [-1 + CLAMP_EPS, 1 - CLAMP_EPS].
+CLAMP_EPS = 1e-7
 
 
 @dataclass(frozen=True)
@@ -101,24 +103,16 @@ class KernelSpec:
     sigma_b_sq: float = 0.1
     lengthscale: float = 1.0
     alpha: float = 1.0
-    clamp_eps: float = 1e-7
     input_scale: float = 1.0
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise KernelSpecError(f"unknown kernel family {self.family!r}; choose from {FAMILIES}")
-        if self.sigma_w_sq <= 0:
-            raise KernelSpecError("sigma_w_sq must be positive")
-        if self.sigma_b_sq < 0:
-            raise KernelSpecError("sigma_b_sq must be nonnegative")
-        if self.lengthscale <= 0:
-            raise KernelSpecError("lengthscale must be positive")
-        if self.alpha <= 0:
-            raise KernelSpecError("alpha must be positive")
-        if not (0.0 < self.input_scale < math.inf):
-            raise KernelSpecError("input_scale must be positive and finite")
-        if not (0.0 < self.clamp_eps < 1e-3):
-            raise KernelSpecError("clamp_eps must lie in (0, 1e-3)")
+        for name in ("sigma_w_sq", "lengthscale", "alpha", "input_scale"):
+            if not (0.0 < getattr(self, name) < math.inf):  # also false for NaN
+                raise KernelSpecError(f"{name} must be positive and finite")
+        if not (0.0 <= self.sigma_b_sq < math.inf):
+            raise KernelSpecError("sigma_b_sq must be nonnegative and finite")
 
 
 def _as_2d(x) -> np.ndarray:
@@ -171,7 +165,7 @@ def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: 
             "NTK closed form undefined for a zero-variance input (zero row with sigma_b_sq = 0)"
         )
     c_raw = k0_ab / p
-    lo, hi = -1.0 + spec.clamp_eps, 1.0 - spec.clamp_eps
+    lo, hi = -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS
     c = np.clip(c_raw, lo, hi)
     pi_m_t = math.pi - np.arccos(c)
     sin_t = np.sqrt(1.0 - c * c)

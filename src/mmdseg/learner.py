@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .kernels import KernelSpec, kernel_matrix, resolve_spec
-from .mmd import make_batch_plan, mmd2_from_terms, mmd2_grad_y, simplex_weights
+from .mmd import mmd2_from_terms, mmd2_grad_y, simplex_weights
 from .numerics import make_rng
 from .preprocess import VideoFeatures, l2_normalize_rows, temporal_smooth
 
@@ -131,8 +131,9 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     """Learn the synthetic frames for one (already preprocessed) video.
 
     Freezes the kernel scales on the input frames and initializes prototypes
-    to uniform-span means with uniform weights. Each epoch takes one step per
-    shuffled batch on the batch's weighted MMD^2 gradient (plain gradient
+    to uniform-span means with uniform weights. Each epoch shuffles the
+    frames and takes one step per batch of floor(N/M) of them (the short last
+    batch kept) on the batch's weighted MMD^2 gradient (plain gradient
     descent with decoupled weight decay), then refits the weights to their
     MMD^2 optimum for the new prototypes; training starts from the optimal
     weights of the initial prototypes. ``train_log[0]`` is the loss at
@@ -167,10 +168,11 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     train_log = [mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights)]
     if cfg.epochs > 0:
         weights = simplex_weights(kyy, kxy_mean)
+    size = n // cfg.m  # at least 1, since m <= n
     for _ in range(cfg.epochs):
-        plan = make_batch_plan(n, cfg.m, rng_batches)
-        for batch in plan.batches():
-            grad = mmd2_grad_y(frames[batch], prototypes, spec, weights)
+        order = rng_batches.permutation(n)
+        for lo in range(0, n, size):
+            grad = mmd2_grad_y(frames[order[lo:lo + size]], prototypes, spec, weights)
             prototypes = (prototypes - cfg.learning_rate * grad
                           - cfg.learning_rate * cfg.weight_decay * prototypes)
         kyy, kxy_mean = loss_terms(prototypes)
@@ -215,15 +217,14 @@ class Profile:
     smooth first, then normalize.
     """
 
-    name: str
     smooth_s: float
     normalize: bool = False
 
 
 PROFILES = {
-    "long": Profile("long", smooth_s=2.5),
-    "short": Profile("short", smooth_s=1.5),
-    "synthetic": Profile("synthetic", smooth_s=0.0),
+    "long": Profile(smooth_s=2.5),
+    "short": Profile(smooth_s=1.5),
+    "synthetic": Profile(smooth_s=0.0),
 }
 
 

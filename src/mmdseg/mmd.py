@@ -1,6 +1,5 @@
 """Squared maximum mean discrepancy between a row set and a weighted row
-set, its analytic gradient in the weighted rows, the optimal weights, and the
-shuffled batch plan used for training.
+set, its analytic gradient in the weighted rows, and the optimal weights.
 
 The estimator is the biased V-statistic
 
@@ -12,14 +11,12 @@ includes self-pairs and is therefore nonnegative for PSD kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 from .kernels import KernelSpec, _kernel, kernel_matrix
 
-__all__ = ["MmdBatchPlan", "mmd2", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights", "make_batch_plan"]
+__all__ = ["mmd2", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 
 
 def _as_pair(x, y, who: str):
@@ -132,27 +129,3 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
             w[[i for i in range(m) if i not in support]] = 0.0
             w /= w.sum()
     return w
-
-
-@dataclass(frozen=True)
-class MmdBatchPlan:
-    """One epoch of shuffled batches over ``n`` frames.
-
-    ``batch_size`` is floor(n / m) clamped to at least 1; the final short
-    batch is kept.
-    """
-
-    batch_size: int
-    epoch_permutation: np.ndarray
-
-    def batches(self):
-        n = self.epoch_permutation.size
-        for lo in range(0, n, self.batch_size):
-            yield self.epoch_permutation[lo:lo + self.batch_size]
-
-
-def make_batch_plan(n: int, m: int, rng: np.random.Generator) -> MmdBatchPlan:
-    """Fresh shuffled batch plan for one epoch: batches of size ~ n/m."""
-    if n < 1 or m < 1:
-        raise ValueError("make_batch_plan needs n >= 1 and m >= 1")
-    return MmdBatchPlan(batch_size=max(1, n // m), epoch_permutation=rng.permutation(n))

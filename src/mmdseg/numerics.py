@@ -1,6 +1,5 @@
-"""Dense numeric substrate: seeded RNG streams, pairwise distances, medians,
-and a central-difference gradient checker used as the gradient oracle
-throughout the test suite.
+"""Dense numeric substrate: seeded RNG streams, pairwise distances and
+medians.
 
 Matrices are plain float64 ``numpy.ndarray`` values; every public operation
 returns finite entries or raises.
@@ -17,7 +16,6 @@ __all__ = [
     "pairwise_sqdist",
     "sqdist_from_gram",
     "median",
-    "finite_diff_grad",
 ]
 
 
@@ -70,28 +68,3 @@ def median(values) -> float:
         raise NumericError("median: input contains non-finite values")
     k = (v.size - 1) // 2
     return float(np.partition(v, k)[k])
-
-
-def finite_diff_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a matrix.
-
-    The universal gradient oracle: every hand-derived analytic gradient in
-    this package is tested against it.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.empty_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xm = x.copy()
-        xp[idx] += h
-        xm[idx] -= h
-        fp = float(f(xp))
-        fm = float(f(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"finite_diff_grad: non-finite evaluation at index {idx}")
-        grad[idx] = (fp - fm) / (2.0 * h)
-    return grad

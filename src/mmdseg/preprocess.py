@@ -36,7 +36,6 @@ class VideoFeatures:
     frames: np.ndarray
     labels: np.ndarray | None = None
     name: str = ""
-    fps: float | None = None
 
     def __post_init__(self):
         if self.frames.ndim != 2 or self.frames.shape[0] < 1 or self.frames.shape[1] < 1:
@@ -63,6 +62,7 @@ def load_features(path, labels_path=None, name: str | None = None) -> VideoFeatu
     """Read a feature file (and optionally a label file) into VideoFeatures."""
     path = Path(path)
     rows: list[list[float]] = []
+    linenos: list[int] = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -74,11 +74,13 @@ def load_features(path, labels_path=None, name: str | None = None) -> VideoFeatu
             elif len(row) != width:
                 raise ParseError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no feature rows found")
     frames = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(frames)):
-        raise ParseError(f"{path}: non-finite feature values")
+        bad = int(np.flatnonzero(~np.isfinite(frames).all(axis=1))[0])
+        raise ParseError(f"{path}:{linenos[bad]}: non-finite feature values")
     labels = load_labels(labels_path) if labels_path is not None else None
     if name is None:
         name = path.stem

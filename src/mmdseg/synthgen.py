@@ -24,7 +24,6 @@ __all__ = [
     "SynthConfig",
     "CANVAS",
     "N_CLASSES",
-    "glyph_mask",
     "trajectory_points",
     "render_glyph",
     "generate_video",
@@ -36,6 +35,7 @@ __all__ = [
 CANVAS = 28
 N_CLASSES = 5
 GLYPH_HALF = 10           # glyph patches are 21x21: large glyphs, short travel
+REPEAT_CLASS = 1          # the class that may occur more than once per video
 _LO, _HI = GLYPH_HALF, CANVAS - 1 - GLYPH_HALF
 _MID = (CANVAS - 1) / 2.0
 
@@ -97,10 +97,6 @@ def _build_glyphs(half: int = GLYPH_HALF) -> np.ndarray:
 GLYPHS = _build_glyphs()
 
 
-def glyph_mask(class_id: int) -> np.ndarray:
-    return GLYPHS[class_id].copy()
-
-
 def trajectory_points(class_id: int, length: int) -> np.ndarray:
     """(row, col) glyph centers for a segment of ``length`` frames."""
     if length < 1:
@@ -110,9 +106,9 @@ def trajectory_points(class_id: int, length: int) -> np.ndarray:
     return np.stack([r0 + (r1 - r0) * t, c0 + (c1 - c0) * t], axis=1)
 
 
-def render_glyph(class_id: int, position, canvas: np.ndarray | None = None) -> np.ndarray:
-    """Stamp the class glyph (in its class color) centered at ``position``."""
-    frame = np.zeros((CANVAS, CANVAS, 3)) if canvas is None else canvas
+def render_glyph(class_id: int, position) -> np.ndarray:
+    """A blank frame with the class glyph (in its class color) centered at ``position``."""
+    frame = np.zeros((CANVAS, CANVAS, 3))
     r = int(np.clip(round(float(position[0])), _LO, _HI))
     c = int(np.clip(round(float(position[1])), _LO, _HI))
     mask = GLYPHS[class_id]
@@ -127,7 +123,6 @@ class SynthConfig:
 
     n_videos: int = 50
     seg_len_range: tuple[int, int] = (5, 30)
-    repeat_class: int = 1
     max_repeats: int = 3
     seed: int = 0
     noise_std: float = 0.0
@@ -135,8 +130,6 @@ class SynthConfig:
     def __post_init__(self):
         if not (1 <= self.seg_len_range[0] <= self.seg_len_range[1]):
             raise ValueError("seg_len_range must satisfy 1 <= lo <= hi")
-        if not (0 <= self.repeat_class < N_CLASSES):
-            raise ValueError(f"repeat_class must be in 0..{N_CLASSES - 1}")
         if not (1 <= self.max_repeats):
             raise ValueError("max_repeats must be at least 1")
 
@@ -145,7 +138,7 @@ def _action_order(rng: np.random.Generator, cfg: SynthConfig) -> list[int]:
     """Shuffled class order with the repeat class occurring 1..max_repeats
     times; reshuffles until no two adjacent segments share a class."""
     repeats = int(rng.integers(1, cfg.max_repeats + 1))
-    order = [c for c in range(N_CLASSES) if c != cfg.repeat_class] + [cfg.repeat_class] * repeats
+    order = [c for c in range(N_CLASSES) if c != REPEAT_CLASS] + [REPEAT_CLASS] * repeats
     order = np.asarray(order)
     while True:
         perm = rng.permutation(order)

@@ -10,6 +10,34 @@ import math
 
 import numpy as np
 
+from mmdseg.errors import NumericError
+from mmdseg.kernels import CLAMP_EPS
+
+
+def finite_diff_grad(f, x, h=1e-4):
+    """Central-difference gradient of a scalar function of a matrix.
+
+    The universal gradient oracle: every hand-derived analytic gradient in
+    the package is tested against it.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.empty_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        xp = x.copy()
+        xm = x.copy()
+        xp[idx] += h
+        xm[idx] -= h
+        fp = float(f(xp))
+        fm = float(f(xm))
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise NumericError(f"finite_diff_grad: non-finite evaluation at index {idx}")
+        grad[idx] = (fp - fm) / (2.0 * h)
+    return grad
+
 
 def naive_pairwise_sqdist(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -42,7 +70,7 @@ def scalar_kernel_value(a, b, spec):
         k_uu = s * sum(float(x) ** 2 for x in u) + spec.sigma_b_sq
         k_vv = s * sum(float(y) ** 2 for y in v) + spec.sigma_b_sq
         p = math.sqrt(k_uu * k_vv)
-        c = min(max(k_uv / p, -1.0 + spec.clamp_eps), 1.0 - spec.clamp_eps)
+        c = min(max(k_uv / p, -1.0 + CLAMP_EPS), 1.0 - CLAMP_EPS)
         theta = math.acos(c)
         nngp = (spec.sigma_w_sq / (2 * math.pi)) * p * (math.sin(theta) + (math.pi - theta) * c) \
             + spec.sigma_b_sq

@@ -18,7 +18,6 @@ from mmdseg import (
     SynthConfig,
     TrainConfig,
     evaluate,
-    finite_diff_grad,
     generate_moving5,
     kernel_grad_b,
     kernel_matrix,
@@ -34,10 +33,9 @@ from mmdseg.evaluation import solve_assignment
 from mmdseg.kernels import resolve_spec
 from mmdseg.learner import PROFILES, Segmentation
 from mmdseg.preprocess import l2_normalize_rows, save_features, VideoFeatures
+from mmdseg.synthgen import REPEAT_CLASS
 
-from oracles import brute_force_assignment, empirical_ntk, mmd2_triple_loop
-
-REPEAT_CLASS = 1
+from oracles import brute_force_assignment, empirical_ntk, finite_diff_grad, mmd2_triple_loop
 
 
 def report(num, name, ok, detail):

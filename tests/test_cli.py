@@ -210,6 +210,21 @@ class TestEval:
         assert [r["video"] for r in parsed] == ["a", "b", "mean"]
         assert float(parsed[2]["mof"]) == pytest.approx(0.75)
 
+    def test_aggregate_names_segment_outputs_by_video(self, tmp_path):
+        # A segment JSON keeps the video name at the top level; its embedded
+        # report has no "video" key.
+        paths = []
+        for name in ("alpha", "beta"):
+            feat, labs = write_blob_video(tmp_path, name=name)
+            out = tmp_path / f"seg_{name}.json"
+            assert main(["segment", "--features", str(feat), "--labels", str(labs),
+                         "--m", "2", "--epochs", "1", "--out", str(out)]) == 0
+            paths.append(str(out))
+        agg = tmp_path / "agg.csv"
+        assert main(["eval", "--aggregate", *paths, "--out", str(agg)]) == 0
+        with open(agg) as fh:
+            assert [r["video"] for r in csv.DictReader(fh)] == ["alpha", "beta", "mean"]
+
 
 class TestRandm:
     def test_draw_envelope_synthetic(self):

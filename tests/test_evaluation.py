@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmdseg import boundary_accuracy, evaluate, f1, hungarian_match, iou, make_rng, mof
+from mmdseg import boundary_accuracy, evaluate, hungarian_match, make_rng
 from mmdseg.errors import ConsistencyError, EmptyEvalError
 from mmdseg.evaluation import solve_assignment
 
@@ -60,52 +60,45 @@ class TestHungarianMatch:
 class TestFrameMetrics:
     def test_perfect_prediction(self):
         gt = np.array([0, 0, 1, 2, 2])
-        label_map = hungarian_match(gt, gt)
-        assert mof(gt, gt, label_map) == 1.0
-        assert iou(gt, gt, label_map) == 1.0
-        assert f1(gt, gt, label_map) == 1.0
-
-    def test_always_wrong_prediction(self):
-        pred = np.array([0, 0, 1, 1])
-        gt = np.array([1, 1, 0, 0])
-        # Force the bad map instead of letting Hungarian fix it.
-        label_map = {0: 0, 1: 1}
-        assert mof(pred, gt, label_map) == 0.0
+        report = evaluate(gt, gt)
+        assert report.mof == report.iou == report.f1 == 1.0
 
     def test_mof_matches_counting_loop(self):
         rng = make_rng(103)
         pred = rng.integers(0, 5, size=50)
         gt = rng.integers(0, 4, size=50)
-        label_map = hungarian_match(pred, gt)
-        expected = sum(1 for p, g in zip(pred, gt) if label_map[int(p)] == int(g)) / 50
-        assert mof(pred, gt, label_map) == pytest.approx(expected, abs=1e-15)
+        report = evaluate(pred, gt)
+        expected = sum(1 for p, g in zip(pred, gt) if report.label_map[int(p)] == int(g)) / 50
+        assert report.mof == pytest.approx(expected, abs=1e-15)
 
     def test_iou_half_overlap(self):
         gt = np.zeros(10, dtype=int)
         pred = np.array([0] * 5 + [1] * 5)
-        label_map = hungarian_match(pred, gt)
-        assert iou(pred, gt, label_map) == pytest.approx(0.5)
+        assert evaluate(pred, gt).iou == pytest.approx(0.5)
 
     def test_f1_harmonic_mean(self):
-        # gt class 0 has recall 1 and precision 0.5 -> F1 = 2/3; class 1 is
-        # unmatched and scores 0.
+        # The one predicted class matches either gt class (equal overlaps);
+        # that class has recall 1 and precision 0.5 -> F1 = 2/3, and the
+        # other is unmatched and scores 0.
         gt = np.array([0] * 5 + [1] * 5)
         pred = np.zeros(10, dtype=int)
-        assert f1(pred, gt, {0: 0}) == pytest.approx((2 / 3 + 0.0) / 2)
+        assert evaluate(pred, gt).f1 == pytest.approx((2 / 3 + 0.0) / 2)
 
     def test_iou_f1_match_set_oracle(self):
         rng = make_rng(104)
         pred = rng.integers(0, 6, size=80)
         gt = rng.integers(0, 4, size=80)
-        label_map = hungarian_match(pred, gt)
-        oracle = per_class_set_metrics(pred, gt, label_map)
-        got_iou = iou(pred, gt, label_map)
-        assert got_iou == pytest.approx(np.mean([o["iou"] for o in oracle.values()]), abs=1e-15)
+        report = evaluate(pred, gt)
+        oracle = per_class_set_metrics(pred, gt, report.label_map)
+        assert report.iou == pytest.approx(np.mean([o["iou"] for o in oracle.values()]), abs=1e-15)
         f1s = []
-        for o in oracle.values():
+        for g, o in oracle.items():
             p, r = o["precision"], o["recall"]
             f1s.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
-        assert f1(pred, gt, label_map) == pytest.approx(np.mean(f1s), abs=1e-15)
+            assert report.per_class[g]["iou"] == pytest.approx(o["iou"], abs=1e-15)
+            assert report.per_class[g]["precision"] == pytest.approx(p, abs=1e-15)
+            assert report.per_class[g]["recall"] == pytest.approx(r, abs=1e-15)
+        assert report.f1 == pytest.approx(np.mean(f1s), abs=1e-15)
 
 
 class TestBoundaryAccuracy:
@@ -160,7 +153,7 @@ class TestEvaluate:
         pred, gt = [0, 0, 1, 1, 2, 2], [-1, -1, -1, -1, 5, 5]
         report = evaluate(pred, gt)
         assert report.mof == pytest.approx(4 / 6)
-        assert mof(pred, gt, report.label_map) == report.mof
+        assert sum(report.label_map[p] == g for p, g in zip(pred, gt)) / 6 == report.mof
 
     def test_renaming_invariance(self):
         rng = make_rng(106)

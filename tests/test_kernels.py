@@ -7,7 +7,6 @@ import pytest
 from mmdseg import (
     FAMILIES,
     KernelSpec,
-    finite_diff_grad,
     kernel_grad_b,
     kernel_matrix,
     make_rng,
@@ -21,7 +20,13 @@ from mmdseg.learner import init_uniform_means
 from mmdseg.synthgen import SynthConfig, generate_video
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError, KernelSpecError, ShapeError
 
-from oracles import empirical_nngp, empirical_ntk, naive_pairwise_sqdist, scalar_kernel_value
+from oracles import (
+    empirical_nngp,
+    empirical_ntk,
+    finite_diff_grad,
+    naive_pairwise_sqdist,
+    scalar_kernel_value,
+)
 
 
 def spec_for(family, lengthscale=2.0, alpha=1.3, **kw):
@@ -37,9 +42,11 @@ class TestKernelSpec:
         with pytest.raises(KernelSpecError):
             KernelSpec(family="laplace")
 
-    def test_bad_clamp(self):
-        with pytest.raises(KernelSpecError):
-            KernelSpec(clamp_eps=0.1)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["lengthscale", "alpha", "sigma_w_sq", "sigma_b_sq"])
+    def test_non_finite_parameter(self, field, value):
+        with pytest.raises(KernelSpecError, match=field):
+            KernelSpec(**{field: value})
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf])
     def test_bad_input_scale(self, scale):

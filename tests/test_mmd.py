@@ -6,9 +6,7 @@ import pytest
 from mmdseg import (
     FAMILIES,
     KernelSpec,
-    finite_diff_grad,
     kernel_matrix,
-    make_batch_plan,
     make_rng,
     mmd2,
     mmd2_grad_y,
@@ -16,7 +14,7 @@ from mmdseg import (
 from mmdseg.errors import ShapeError
 from mmdseg.mmd import simplex_weights
 
-from oracles import mmd2_triple_loop, simplex_qp_by_supports
+from oracles import finite_diff_grad, mmd2_triple_loop, simplex_qp_by_supports
 
 
 def spec_for(family):
@@ -207,22 +205,6 @@ class TestSimplexWeights:
 
     def test_single_row(self):
         assert np.array_equal(simplex_weights(np.array([[2.0]]), np.array([0.3])), [1.0])
-
-
-class TestBatchPlan:
-    def test_batch_sizes(self):
-        plan = make_batch_plan(10, 3, make_rng(58))
-        sizes = [b.size for b in plan.batches()]
-        assert plan.batch_size == 3 and sizes == [3, 3, 3, 1]
-
-    def test_floor_guard(self):
-        assert make_batch_plan(4, 9, make_rng(59)).batch_size == 1
-
-    def test_permutation_is_bijection(self):
-        plan = make_batch_plan(100, 7, make_rng(60))
-        assert np.array_equal(np.sort(plan.epoch_permutation), np.arange(100))
-        seen = np.concatenate(list(plan.batches()))
-        assert np.array_equal(np.sort(seen), np.arange(100))
 
 
 class TestConvergence:

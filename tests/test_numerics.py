@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mmdseg import finite_diff_grad, make_rng, median, pairwise_sqdist
+from mmdseg import make_rng, median, pairwise_sqdist
 from mmdseg.errors import NumericError, ShapeError
 
-from oracles import naive_pairwise_sqdist
+from oracles import finite_diff_grad, naive_pairwise_sqdist
 
 
 class TestPairwiseSqdist:

@@ -47,6 +47,13 @@ class TestLoadFeatures:
         with pytest.raises(ParseError, match=":2"):
             load_features(p)
 
+    def test_non_finite_value_reports_line(self, tmp_path):
+        # Blank lines count: the third line of the file is the second row.
+        p = tmp_path / "feat.txt"
+        p.write_text("1,2\n\nnan,5\n3,inf\n")
+        with pytest.raises(ParseError, match=r"feat\.txt:3: non-finite"):
+            load_features(p)
+
     def test_round_trip_is_lossless(self, tmp_path):
         frames = make_rng(70).normal(size=(20, 6))
         p = tmp_path / "feat.txt"
