@@ -100,23 +100,6 @@ class TestTrainApproximation:
         assert np.all(np.isfinite(approx.train_log))
         assert len(approx.train_log) == 11
 
-    def test_batches_cover_every_frame_once_per_epoch(self, monkeypatch):
-        # n = 10, m = 3: shuffled batches of floor(10 / 3) = 3 frames, the
-        # short last batch kept.
-        frames = make_rng(58).normal(size=(10, 3))
-        batches = []
-        grad = learner.mmd2_grad_y
-
-        def spy(x, y, spec, weights):
-            batches.append([int(np.flatnonzero((frames == row).all(axis=1))[0]) for row in x])
-            return grad(x, y, spec, weights)
-
-        monkeypatch.setattr(learner, "mmd2_grad_y", spy)
-        train_approximation(VideoFeatures(frames=frames), TrainConfig(m=3, epochs=2, seed=4))
-        assert [len(b) for b in batches] == [3, 3, 3, 1] * 2
-        for epoch in (batches[:4], batches[4:]):
-            assert sorted(i for b in epoch for i in b) == list(range(10))
-
     def test_m_larger_than_n(self):
         v, _, _ = two_blob_video(segments=((0, 3), (1, 2)))
         with pytest.raises(ValueError):

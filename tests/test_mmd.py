@@ -6,11 +6,15 @@ import pytest
 from mmdseg import (
     FAMILIES,
     KernelSpec,
+    TrainConfig,
+    VideoFeatures,
     kernel_matrix,
     make_rng,
     mmd2,
     mmd2_grad_y,
+    train_approximation,
 )
+from mmdseg import learner
 from mmdseg.errors import ShapeError
 from mmdseg.mmd import simplex_weights
 
@@ -205,6 +209,40 @@ class TestSimplexWeights:
 
     def test_single_row(self):
         assert np.array_equal(simplex_weights(np.array([[2.0]]), np.array([0.3])), [1.0])
+
+
+class TestBatchPlan:
+    """The trainer's minibatches: shuffled batches of floor(N/M) frames."""
+
+    @staticmethod
+    def record_batches(monkeypatch, n, m, epochs, seed):
+        # Frame indices of each batch the trainer takes a gradient step on.
+        frames = make_rng(seed).normal(size=(n, 3))
+        batches = []
+        grad = learner.mmd2_grad_y
+
+        def spy(x, y, spec, weights):
+            batches.append([int(np.flatnonzero((frames == row).all(axis=1))[0]) for row in x])
+            return grad(x, y, spec, weights)
+
+        monkeypatch.setattr(learner, "mmd2_grad_y", spy)
+        train_approximation(VideoFeatures(frames=frames), TrainConfig(m=m, epochs=epochs, seed=4))
+        return batches
+
+    def test_batch_sizes(self, monkeypatch):
+        # n = 10, m = 3: batches of 3 frames, the short last batch kept.
+        batches = self.record_batches(monkeypatch, 10, 3, epochs=2, seed=58)
+        assert [len(b) for b in batches] == [3, 3, 3, 1] * 2
+
+    def test_permutation_is_bijection(self, monkeypatch):
+        # Each epoch's batches cover every frame exactly once, in a new order.
+        batches = self.record_batches(monkeypatch, 100, 7, epochs=2, seed=60)
+        per_epoch = -(-100 // (100 // 7))
+        assert len(batches) == 2 * per_epoch
+        epochs = [sum(batches[:per_epoch], []), sum(batches[per_epoch:], [])]
+        for order in epochs:
+            assert sorted(order) == list(range(100))
+        assert epochs[0] != epochs[1]
 
 
 class TestConvergence:
