@@ -21,21 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import kernel_kmeans_assign, kmeans_centroids, kmeans_segmentation, uniform_segmentation
-from .errors import (
-    ConsistencyError,
-    DegenerateInputError,
-    DegenerateScaleError,
-    EmptyEvalError,
-    KernelSpecError,
-    NumericError,
-    ParseError,
-    ShapeError,
-)
+from .errors import ConsistencyError, NumericError, ParseError
 from .evaluation import aggregate_rows, evaluate
 from .kernels import FAMILIES, KernelSpec, resolve_spec
-from .learner import PROFILES, Profile, TrainConfig, preprocess_video, segment_video
+from .learner import PROFILES, Profile, Segmentation, TrainConfig, preprocess_video, segment_video
 from .numerics import make_rng
-from .preprocess import load_features, load_labels
+from .preprocess import VideoFeatures, load_features, load_labels
 from .synthgen import SynthConfig, write_dataset
 
 CSV_COLUMNS = ["video", "mof", "iou", "f1", "boundary_accuracy"]
@@ -64,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--m", type=int, required=True, help="number of prototypes / spans")
     p_seg.add_argument("--kernel", choices=FAMILIES, default="gauss_ntk")
     p_seg.add_argument("--epochs", type=int, default=None)
-    p_seg.add_argument("--lr", type=float, default=5e-2)
-    p_seg.add_argument("--wd", type=float, default=1e-3)
+    p_seg.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_seg.add_argument("--wd", type=float, default=TrainConfig.weight_decay)
     p_seg.add_argument("--smooth", type=float, default=None, help="override the profile smoothing factor")
     p_seg.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
     p_seg.add_argument("--normalize", action="store_true", help="L2-normalize frames after smoothing")
@@ -134,29 +125,29 @@ def _default_epochs(profile_name: str) -> int:
     return 10 if profile_name == "synthetic" else 100
 
 
+def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
+                profile: Profile) -> tuple[Segmentation, list[float]]:
+    """Segment one video with ``ours`` (trained prototypes) or a baseline;
+    returns ``(Segmentation, train_log)``, the log empty for baselines."""
+    if method == "ours":
+        approx, seg = segment_video(video, cfg, profile)
+        return seg, approx.train_log
+    if method == "uniform":
+        return uniform_segmentation(video.n_frames, cfg.m), []
+    frames = preprocess_video(video, cfg.m, profile).frames
+    if method == "kmeans":
+        return kmeans_segmentation(frames, cfg.m, make_rng(cfg.seed, 10)), []
+    centers, _ = kmeans_centroids(frames, cfg.m, make_rng(cfg.seed, 10))
+    spec = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
+    return kernel_kmeans_assign(frames, centers, spec), []
+
+
 def cmd_segment(args) -> int:
     video = load_features(args.features, labels_path=args.labels)
-    profile = _segment_profile(args)
     epochs = args.epochs if args.epochs is not None else _default_epochs(args.profile)
-    epochs = 0 if args.no_train else epochs
-    train_log: list[float] = []
-
-    if args.baseline == "uniform":
-        seg = uniform_segmentation(video.n_frames, args.m)
-    elif args.baseline == "kmeans":
-        prepped = preprocess_video(video, args.m, profile)
-        seg = kmeans_segmentation(prepped.frames, args.m, make_rng(args.seed, 10))
-    elif args.baseline == "kernel-kmeans":
-        prepped = preprocess_video(video, args.m, profile)
-        centers, _ = kmeans_centroids(prepped.frames, args.m, make_rng(args.seed, 10))
-        spec = resolve_spec(prepped.frames, KernelSpec(family=args.kernel), make_rng(args.seed, 0))
-        seg = kernel_kmeans_assign(prepped.frames, centers, spec)
-    else:
-        cfg = TrainConfig(m=args.m, epochs=epochs, learning_rate=args.lr, weight_decay=args.wd,
-                          seed=args.seed, kernel=KernelSpec(family=args.kernel))
-        approx, seg = segment_video(video, cfg, profile)
-        train_log = approx.train_log
-
+    cfg = TrainConfig(m=args.m, epochs=0 if args.no_train else epochs, learning_rate=args.lr,
+                      weight_decay=args.wd, seed=args.seed, kernel=KernelSpec(family=args.kernel))
+    seg, train_log = _segment_by(args.baseline or "ours", video, cfg, _segment_profile(args))
     payload = {"name": video.name, **seg.to_dict(), "train_log": train_log}
     if video.labels is not None:
         report = evaluate(seg, video.labels, exclude_gt=args.exclude_bg,
@@ -210,14 +201,10 @@ def _randm_task(payload):
     m_used = min(max(1, m_drawn), video.n_frames)
     if m_used != m_drawn:
         print(f"note: {Path(feat_path).stem}: drawn M {m_drawn} clamped to {m_used}", file=sys.stderr)
-    profile = PROFILES[profile_name]
-    if method == "uniform":
-        seg = uniform_segmentation(video.n_frames, m_used)
-    else:
-        preset = NOISY_M_PRESETS[mode]
-        cfg = TrainConfig(m=m_used, epochs=preset["epochs"], weight_decay=preset["weight_decay"],
-                          seed=train_seed, kernel=KernelSpec(family=kernel_family))
-        _, seg = segment_video(video, cfg, profile)
+    preset = NOISY_M_PRESETS[mode]
+    cfg = TrainConfig(m=m_used, epochs=preset["epochs"], weight_decay=preset["weight_decay"],
+                      seed=train_seed, kernel=KernelSpec(family=kernel_family))
+    seg, _ = _segment_by(method, video, cfg, PROFILES[profile_name])
     report = evaluate(seg, video.labels, boundary_tol=boundary_tol)
     return {
         "video": video.name, "m_used": m_used, "mof": report.mof, "iou": report.iou,
@@ -263,14 +250,10 @@ def main(argv=None) -> int:
     handlers = {"gen": cmd_gen, "segment": cmd_segment, "eval": cmd_eval, "randm": cmd_randm}
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateScaleError, DegenerateInputError, ConsistencyError, EmptyEvalError,
-            NumericError, ShapeError, KernelSpecError, ValueError) as exc:
+    except (NumericError, ValueError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
 

@@ -110,11 +110,8 @@ def load_labels(path) -> np.ndarray:
 
 def save_features(path, frames: np.ndarray) -> None:
     """Write frames one per line at 17 significant digits (lossless reload)."""
-    frames = np.asarray(frames, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in frames:
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # np.savetxt would gzip a path ending in ".gz"
+        np.savetxt(fh, np.asarray(frames, dtype=np.float64), fmt="%.17g", delimiter=",")
 
 
 def save_labels(path, labels) -> None:

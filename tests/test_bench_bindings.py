@@ -1,15 +1,20 @@
 """What the benchmark under ``bench/`` binds in the package must keep existing.
 
 ``bench/run.py`` patches the functions listed in its ``LAYERS`` by module and
-name, and ``bench/workloads.py`` imports the package at module level. A
-deletion or a move that breaks either would otherwise surface only when the
-benchmark runs.
+name, and ``bench/workloads.py`` imports the package at module level and
+times ``randm`` by rebinding ``cli._randm_task``. A deletion or a move that
+breaks any of these would otherwise surface only when the benchmark runs.
 """
 
 import ast
 import importlib
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from mmdseg import cli
+from mmdseg.preprocess import save_features, save_labels
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -40,3 +45,25 @@ def test_workloads_import(monkeypatch):
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     workloads = importlib.import_module("workloads")
     assert {"table-moving5", "long-smooth", "randm-cli"} <= set(workloads.WORKLOADS)
+
+
+def test_randm_task_is_rebindable_with_features_path_first(tmp_path, monkeypatch):
+    """``workloads.RandmCli`` rebinds ``cli._randm_task`` and names each call
+    by ``payload[0]``, so ``randm`` must look the task up at call time and
+    pass the features path first."""
+    feats = []
+    for k in range(2):
+        feats.append(tmp_path / f"v{k}_features.txt")
+        save_features(feats[-1], np.arange(12.0 + k).reshape(-1, 1))
+        save_labels(tmp_path / f"v{k}_labels.txt", [0] * (12 + k))
+    seen = []
+    task = cli._randm_task
+
+    def spy(payload):
+        seen.append(payload[0])
+        return task(payload)
+
+    monkeypatch.setattr(cli, "_randm_task", spy)
+    assert cli.main(["randm", "--features-dir", str(tmp_path), "--mbar", "2", "--method", "uniform",
+                     "--out", str(tmp_path / "randm.csv")]) == 0
+    assert seen == [str(f) for f in feats]

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -140,6 +141,68 @@ class TestSegment:
         assert main(["segment", "--features", str(feat), "--m", "2", "--normalize",
                      "--epochs", "0", "--out", str(tmp_path / "o.json")]) == 3
         assert "DegenerateInputError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("baseline, flags, message", [
+        ("uniform", ["--m", "2", "--epochs", "-1"], "epochs must be nonnegative"),
+        ("kmeans", ["--m", "0"], "m must be at least 1"),
+        ("kernel-kmeans", ["--m", "0"], "m must be at least 1"),
+    ])
+    def test_baseline_validates_m_and_epochs(self, tmp_path, capsys, baseline, flags, message):
+        feat, _ = write_blob_video(tmp_path)
+        assert main(["segment", "--features", str(feat), "--baseline", baseline, *flags,
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert message in capsys.readouterr().err
+
+
+def _runs(labels):
+    return [(label, len(list(group))) for label, group in itertools.groupby(labels)]
+
+
+KMEANS_RUNS = [(1, 8), (0, 9), (2, 5), (3, 17), (1, 7), (0, 8), (2, 5), (0, 10), (1, 10),
+               (4, 12), (2, 23), (0, 7)]
+TRAINED_RUNS = [(0, 17), (2, 5), (1, 17), (0, 15), (2, 25), (3, 12), (4, 30)]
+
+
+class TestGoldenLabels:
+    """Frame labels of every CLI method on one generated video, pinned.
+
+    The k-means labels pin its stream, ``make_rng(seed, 10)``: streams 0, 1
+    and 11 give other labels on this video. The kernel scales' stream
+    (``make_rng(seed, 0)``) draws frames only above ``MAX_SCALE_FRAMES``, so
+    on this 121-frame video it does not move any label.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("golden")
+        assert main(["gen", "--out", str(root), "--seed", "2", "--videos", "1"]) == 0
+        return root / "test"
+
+    @pytest.mark.parametrize("flags, runs, log_len", [
+        (["--no-train"], TRAINED_RUNS, 1),
+        ([], TRAINED_RUNS, 11),
+        (["--baseline", "uniform"], [(0, 25), (1, 24), (2, 24), (3, 24), (4, 24)], 0),
+        (["--baseline", "kmeans"], KMEANS_RUNS, 0),
+        (["--baseline", "kernel-kmeans"], KMEANS_RUNS, 0),
+    ], ids=["no-train", "trained", "uniform", "kmeans", "kernel-kmeans"])
+    def test_segment(self, data, tmp_path, flags, runs, log_len):
+        out = tmp_path / "seg.json"
+        assert main(["segment", "--features", str(data / "test_000_features.txt"),
+                     "--m", "5", "--seed", "3", *flags, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert _runs(payload["frame_labels"]) == runs
+        assert len(payload["frame_labels"]) == 121
+        assert len(payload["train_log"]) == log_len
+
+    @pytest.mark.parametrize("method", ["ours", "uniform"])
+    def test_randm(self, data, tmp_path, method):
+        out = tmp_path / "randm.csv"
+        assert main(["randm", "--features-dir", str(data), "--mbar", "5", "--seed", "1",
+                     "--method", method, "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["video"], r["m_used"]) for r in rows] == [("test_000", "1"), ("mean", "1.0")]
+        assert rows[0]["mof"] == "0.34710743801652894"
 
 
 class TestEval:
@@ -300,6 +363,7 @@ class TestRandm:
         assert main(["randm", "--features-dir", str(data), "--mbar", "2",
                      "--seed", "6", "--jobs", "2", "--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
+
 
 
 class TestGenNoise:

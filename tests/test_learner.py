@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from mmdseg import (
 from mmdseg import learner
 from mmdseg.learner import PROFILES, Profile, preprocess_video
 from mmdseg.errors import DegenerateScaleError, ShapeError
-from mmdseg.synthgen import SynthConfig, generate_video
+from mmdseg.mmd import simplex_weights
+from mmdseg.synthgen import SynthConfig, generate_moving5, generate_video
 
 from oracles import scalar_kernel_value
 
@@ -283,3 +286,51 @@ class TestSegmentVideo:
         got = preprocess_video(v, 5, profile)
         expected = l2_normalize_rows(temporal_smooth(v, 1.5, 5))
         assert np.array_equal(got.frames, expected.frames)
+
+
+class TestTrivialSolution:
+    """The NTK sidesteps the trivial solution of a widening Gaussian.
+
+    Train five prototypes per video, widen the resolved lengthscale by c,
+    refit the simplex weights and take the squared MMD. With ``gauss`` every
+    kernel value tends to 1 as c grows, so any prototypes reach MMD ~ 0: the
+    widest kernel always wins. The Gaussian-NTK products keep an MMD floor.
+    Measured on the three videos: ``gauss`` 2e-2..3e-2 at c = 1, 1e-8 and
+    below at c = 128; ``gauss_ntk`` lowest at c = 2 (3e-2..4e-2);
+    ``gauss_ntk_sphere`` falls from 7e-2..1e-1 to a plateau near 4e-2.
+    """
+
+    SCALES = [2.0 ** k for k in range(8)]
+
+    @pytest.fixture(scope="class")
+    def curves(self):
+        videos = generate_moving5(SynthConfig(n_videos=3, seed=0), "test")
+        curves = {}
+        for family in ("gauss", "gauss_ntk", "gauss_ntk_sphere"):
+            curves[family] = []
+            for i, v in enumerate(videos):
+                approx = train_approximation(v, TrainConfig(m=5, epochs=10, seed=i,
+                                                            kernel=KernelSpec(family=family)))
+                p = approx.prototypes
+                curve = []
+                for c in self.SCALES:
+                    spec = replace(approx.spec, lengthscale=c * approx.spec.lengthscale)
+                    w = simplex_weights(kernel_matrix(p, p, spec),
+                                        kernel_matrix(v.frames, p, spec).mean(axis=0))
+                    curve.append(mmd2(v.frames, p, spec, w))
+                curves[family].append(np.array(curve))
+        return curves
+
+    def test_gauss_reaches_the_trivial_solution(self, curves):
+        for curve in curves["gauss"]:
+            assert np.all(np.diff(curve) <= 0)
+            assert curve[-1] < 1e-6
+
+    def test_gauss_ntk_has_an_interior_minimum(self, curves):
+        for curve in curves["gauss_ntk"]:
+            assert 0 < int(np.argmin(curve)) < len(self.SCALES) - 1
+
+    def test_ntk_products_keep_a_floor(self, curves):
+        for family in ("gauss_ntk", "gauss_ntk_sphere"):
+            for curve in curves[family]:
+                assert curve[-1] > 1e-2

@@ -59,6 +59,18 @@ class TestLoadFeatures:
         p = tmp_path / "feat.txt"
         save_features(p, frames)
         assert np.array_equal(load_features(p).frames, frames)
+        assert p.read_text() == "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in frames)
+        # Signed zero, the smallest subnormal and the largest double survive;
+        # tobytes() tells -0.0 from 0.0, which array_equal does not.
+        edge = np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]])
+        save_features(p, edge)
+        assert p.read_text() == ("0,-0,4.9406564584124654e-324,1.7976931348623157e+308,"
+                                 "0.10000000000000001,0.33333333333333331\n")
+        assert load_features(p).frames.tobytes() == edge.tobytes()
+        # Plain text whatever the name: np.savetxt given a path gzips a ".gz" one.
+        gz = tmp_path / "feat.txt.gz"
+        save_features(gz, frames)
+        assert np.array_equal(load_features(gz).frames, frames)
 
     def test_label_interning(self, tmp_path):
         p = tmp_path / "labels.txt"
