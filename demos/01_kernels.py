@@ -22,13 +22,13 @@ print("Toy data: 8 points in 5-D\n")
 # They are frozen before training, so the objective stays stationary (a
 # Gaussian alone, learned jointly, would grow into a constant kernel with
 # zero MMD).
-spec = resolve_spec(x, KernelSpec(family="gauss_ntk"))
+spec = resolve_spec(x, KernelSpec(family="gauss_ntk"))[0]
 print(f"median-heuristic lengthscale: {spec.lengthscale:.4f}")
 print(f"NTK input scale: {spec.input_scale:.4f}")
 print(f"product-kernel rescaling alpha = med(gauss)/med(ntk): {spec.alpha:.4f}\n")
 
 for family in FAMILIES:
-    fam_spec = resolve_spec(x, KernelSpec(family=family))
+    fam_spec = resolve_spec(x, KernelSpec(family=family))[0]
     gram = kernel_matrix(x, x, fam_spec)
     eig = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     sym = np.max(np.abs(gram - gram.T))
@@ -55,7 +55,7 @@ print(f"orthogonal pair:              NNGP {nngp_orth:.4f}, NTK {ntk_orth:.4f}")
 # scale r = sqrt(d / med ||x||^2) for the network.
 rows = make_rng(1).normal(size=(6, 2000))
 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-for r in (1.0, resolve_spec(rows, spec_ntk).input_scale):
+for r in (1.0, resolve_spec(rows, spec_ntk)[0].input_scale):
     gram = kernel_matrix(rows, rows, KernelSpec(family="ntk", input_scale=r))
     off = gram[~np.eye(6, dtype=bool)]
     print(f"unit rows in 2000-D, input scale {r:6.2f}: off-diagonal NTK "

@@ -25,7 +25,7 @@ for i, v in enumerate(videos):
     rows["uniform"].append(evaluate(uniform_segmentation(v.n_frames, M), gt))
     centers, _ = kmeans_centroids(v.frames, M, make_rng(1000, i))
     rows["k-means"].append(evaluate(kmeans_segmentation(v.frames, M, make_rng(1000, i)), gt))
-    spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))
+    spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))[0]
     rows["kernel(k-means)"].append(evaluate(kernel_kmeans_assign(v.frames, centers, spec), gt))
     _, seg0 = segment_video(v, TrainConfig(m=M, epochs=0, seed=i), PROFILES["synthetic"])
     rows["kernel(uniform)"].append(evaluate(seg0, gt))

@@ -138,7 +138,7 @@ def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
     if method == "kmeans":
         return kmeans_segmentation(frames, cfg.m, make_rng(cfg.seed, 10)), []
     centers, _ = kmeans_centroids(frames, cfg.m, make_rng(cfg.seed, 10))
-    spec = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
+    spec = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))[0]
     return kernel_kmeans_assign(frames, centers, spec), []
 
 
@@ -157,26 +157,35 @@ def cmd_segment(args) -> int:
     return 0
 
 
+def _read_json(path: str, keys: tuple[str, ...], section: str | None = None) -> tuple[dict, dict]:
+    """The JSON object stored in ``path`` and the part of it that must hold
+    ``keys``: its ``section`` member when it has one, else the whole object.
+    Anything else is a ``ParseError`` naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    part = doc.get(section, doc) if isinstance(doc, dict) else doc
+    missing = [key for key in keys if not isinstance(part, dict) or key not in part]
+    if missing:
+        raise ParseError(f"{path}: expected a JSON object with the key {missing[0]!r}")
+    return doc, part
+
+
 def cmd_eval(args) -> int:
     if args.aggregate:
         rows = []
         for path in args.aggregate:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            rep = doc.get("report", doc)
-            rows.append({
-                "video": rep.get("video", doc.get("name", Path(path).stem)),
-                "mof": rep["mof"], "iou": rep["iou"], "f1": rep["f1"],
-                "boundary_accuracy": rep.get("boundary_accuracy"),
-            })
+            doc, rep = _read_json(path, ("mof", "iou", "f1"), section="report")
+            rows.append({"video": rep.get("video", doc.get("name", Path(path).stem)),
+                         **{k: rep.get(k) for k in CSV_COLUMNS[1:]}})
         mean = aggregate_rows(rows)
         rows.append({"video": "mean", **{k: mean.get(k) for k in CSV_COLUMNS[1:]}})
         _write_csv(args.out, CSV_COLUMNS, rows)
         return 0
     if not args.pred or not args.labels:
         raise ConsistencyError("eval needs --pred and --labels (or --aggregate)")
-    with open(args.pred, "r", encoding="utf-8") as fh:
-        pred = json.load(fh)
+    pred, _ = _read_json(args.pred, ("frame_labels",))
     gt = load_labels(args.labels)
     report = evaluate(np.asarray(pred["frame_labels"], dtype=np.int64), gt,
                       exclude_gt=args.exclude_bg, boundary_tol=args.boundary_tol)

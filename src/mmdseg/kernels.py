@@ -34,7 +34,9 @@ network.
 Scales: ``resolve_spec`` fixes a video's lengthscale, input scale and alpha
 in one pass. It samples at most ``MAX_SCALE_FRAMES`` frames once and takes
 the pair statistics of both medians from one Gram product of the raw sample
-(one more on the projected sample for ``gauss_ntk_sphere``).
+(one more on the projected sample for the ``_sphere`` NTK). From the same
+pair values it returns the resolved kernel's mean over the sample, which the
+trainer's loss uses as mean(Kxx) on that sample.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -139,8 +141,10 @@ def sphere_project(x: np.ndarray) -> np.ndarray:
 
 
 def _gram(a: np.ndarray, b: np.ndarray):
-    """Gram product ``a @ b.T`` and the squared row norms of ``a`` and ``b``."""
-    return a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+    """Gram product ``a @ b.T`` and the squared row norms of ``a`` and ``b``
+    (computed once when ``b is a``)."""
+    sq_a = np.sum(a * a, axis=1)
+    return a @ b.T, sq_a, sq_a if b is a else np.sum(b * b, axis=1)
 
 
 def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -171,7 +175,7 @@ def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: 
     sin_t = np.sqrt(1.0 - c * c)
     coef = spec.sigma_w_sq / (2.0 * math.pi)
     g = sin_t + pi_m_t * c
-    del c  # one N x N array less at the peak of a long video's loss log
+    del c  # one array less at the peak of resolve_spec's pass over the sampled pairs
     nngp = coef * p * g + spec.sigma_b_sq
     ntk_dot = coef * pi_m_t
     values = nngp if nngp_only else nngp + k0_ab * ntk_dot
@@ -266,12 +270,14 @@ def kernel_grad_b(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> np.
 
 
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,
-                 rng: np.random.Generator | None = None) -> KernelSpec:
-    """Freeze the data-derived parameters of ``spec`` for one video.
+                 rng: np.random.Generator | None = None):
+    """Freeze the data-derived parameters of ``spec`` for one video; returns
+    ``(spec, keep, kxx_mean)``.
 
-    One pass over one sample: at most ``MAX_SCALE_FRAMES`` frames (seeded,
-    kept in order), their distinct pairs, and one Gram product of their raw
-    rows with the squared row norms. From these come
+    One pass over one sample: ``keep`` selects at most ``MAX_SCALE_FRAMES``
+    frames (``slice(None)`` when all fit, else a seeded draw kept in order).
+    One Gram product of their raw rows with the squared row norms gives the
+    pair distances of the distinct pairs. From these come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -284,7 +290,9 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
       ``_sphere`` families);
     - for product families, alpha = med(gauss) / med(ntk) over the sampled
       pairs, which brings the two factors into the same range. The
-      ``_sphere`` NTK takes one more Gram product, on the projected sample.
+      ``_sphere`` NTK takes one more Gram product, on the projected sample;
+    - ``kxx_mean``, the resolved kernel's mean over all ordered pairs of the
+      sample, diagonal included: the mean(Kxx) of the trainer's loss.
 
     All are computed once, before any optimization, and never touched again.
     """
@@ -299,9 +307,10 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
         keep = np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
     sq_all = np.sum(x * x, axis=1)
     sample, sq = x[keep], sq_all[keep]
+    m = sample.shape[0]
     gram = sample @ sample.T
-    i, j = np.triu_indices(sample.shape[0], k=1)
-    sqdist = sqdist_from_gram(sample, sample, gram, sq, sq)[i, j]
+    i, j = np.triu_indices(m, k=1)
+    sqdist = np.maximum(sq[i] + sq[j] - 2.0 * gram[i, j], 0.0)
     noise = d * np.finfo(np.float64).eps * float(np.max(sq))
     lengthscale = median(sqdist)
     if lengthscale <= noise:
@@ -313,33 +322,37 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
         lengthscale = median(moving)
         del moving
     resolved = replace(spec, lengthscale=lengthscale)
-    if family == "gauss":
-        return resolved
-    if family in PRODUCT_FAMILIES:
-        med_gauss = median(_gauss(sqdist, resolved))
-    else:
-        del sample, gram, i, j  # not needed again; free them before the input scale
+    # Kernel values on the distinct pairs and on the diagonal give kxx_mean.
+    pairs = _gauss(sqdist, resolved) if family in GAUSS_FAMILIES else 1.0
+    diag = np.ones(m)  # the Gaussian's diagonal
     del sqdist
-
-    projected = sphere_project(x) if family in SPHERE_FAMILIES else None
-    med_sq = median(sq_all if projected is None else np.sum(projected * projected, axis=1))
-    if med_sq <= 0.0:
-        raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
-    resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
-    if family not in PRODUCT_FAMILIES:
-        return resolved
-
-    if projected is not None:
-        sample = projected[keep]
-        gram = sample @ sample.T
-    s = _k0_factor(d, resolved)
-    k0_diag = s * np.diag(gram) + spec.sigma_b_sq
-    p = np.sqrt(k0_diag[i] * k0_diag[j])
-    med_ntk = median(_arccos_form(s * gram[i, j] + spec.sigma_b_sq, p, resolved))
-    if med_ntk <= 0.0:
-        raise DegenerateScaleError("median NTK value is not positive; cannot rescale")
-    if med_gauss == 0.0:
-        raise DegenerateScaleError(
-            "median Gaussian value underflows to zero (are most frames near-identical?)"
-        )
-    return replace(resolved, alpha=med_gauss / med_ntk)
+    if family != "gauss":
+        projected = sphere_project(x) if family in SPHERE_FAMILIES else None
+        med_sq = median(sq_all if projected is None else np.sum(projected * projected, axis=1))
+        if med_sq <= 0.0:
+            raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
+        resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
+        if projected is not None:
+            sample = projected[keep]
+            gram = sample @ sample.T
+        s = _k0_factor(d, resolved)
+        k0_diag = s * np.diag(gram) + spec.sigma_b_sq
+        p = np.sqrt(k0_diag[i] * k0_diag[j])
+        kn = _arccos_form(s * gram[i, j] + spec.sigma_b_sq, p, resolved, family == "nngp")
+        diag = _arccos_form(k0_diag, k0_diag, resolved, family == "nngp")
+        if family in PRODUCT_FAMILIES:
+            med_ntk = median(kn)
+            if med_ntk <= 0.0:
+                raise DegenerateScaleError("median NTK value is not positive; cannot rescale")
+            med_gauss = median(pairs)
+            if med_gauss == 0.0:
+                raise DegenerateScaleError(
+                    "median Gaussian value underflows to zero (are most frames near-identical?)"
+                )
+            resolved = replace(resolved, alpha=med_gauss / med_ntk)
+            kn, diag = resolved.alpha * kn, resolved.alpha * diag
+        pairs = kn * pairs
+    kxx_mean = float((2.0 * np.sum(pairs) + np.sum(diag)) / m**2)
+    if not math.isfinite(kxx_mean):
+        raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
+    return resolved, keep, kxx_mean

@@ -4,11 +4,12 @@ A video is summarized by M weighted synthetic frames trained so that their
 distribution matches the real frame distribution in kernel space (squared
 MMD, minimized by gradient descent with decoupled weight decay over shuffled
 batches of ~N/M frames, the weights refit to their MMD optimum before the
-first epoch and after every epoch). Real frames are then labeled by the synthetic frame that contributes
-most to the approximation's kernel mean at them, and runs of equal labels
-become the predicted segments. Nothing forces every prototype to win frames
-(a weight may fall to zero), so the number of realized segments can fall
-below M.
+first epoch and after every epoch, on the frame sample that also fixed the
+kernel scales). Real frames are then labeled by the synthetic frame that
+contributes most to the approximation's kernel mean at them, and runs of
+equal labels become the predicted segments. Nothing forces every prototype
+to win frames (a weight may fall to zero), so the number of realized
+segments can fall below M.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ __all__ = [
     "assign",
     "segment_video",
 ]
-
-# Frames used for the per-epoch loss log; bounds the logging cost on long videos.
-LOG_FRAME_CAP = 2000
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -136,32 +133,26 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     batch kept) on the batch's weighted MMD^2 gradient (plain gradient
     descent with decoupled weight decay), then refits the weights to their
     MMD^2 optimum for the new prototypes; training starts from the optimal
-    weights of the initial prototypes. ``train_log[0]`` is the loss at
-    initialization; one entry follows per epoch. Fully deterministic given
-    the seed.
+    weights of the initial prototypes. The refit and the logged loss run
+    over the frame sample of ``resolve_spec`` (all frames, or a seeded draw
+    of ``MAX_SCALE_FRAMES`` on a longer video) with the mean(Kxx) it
+    returns. ``train_log[0]`` is the loss at initialization; one entry
+    follows per epoch. Fully deterministic given the seed.
     """
     frames = v.frames
     n = frames.shape[0]
     if cfg.m > n:
         raise ValueError(f"m = {cfg.m} exceeds the {n} available frames")
 
-    spec = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
+    # Refit and loss run on the scale sample; each epoch's Kyy and Kxy give
+    # both the logged loss and the refit weights.
+    spec, keep, kxx_mean = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
+    sample = frames[keep]
     prototypes = init_uniform_means(frames, cfg.m)
-
     rng_batches = make_rng(cfg.seed, 1)
-    rng_log = make_rng(cfg.seed, 2)
-    if n > LOG_FRAME_CAP:
-        log_idx = np.sort(rng_log.choice(n, size=LOG_FRAME_CAP, replace=False))
-        log_frames = frames[log_idx]
-    else:
-        log_frames = frames
-
-    # mean(Kxx) does not depend on the prototypes; each epoch's Kyy and Kxy
-    # give both the logged loss and the refit weights.
-    kxx_mean = kernel_matrix(log_frames, log_frames, spec).mean()
 
     def loss_terms(p):
-        return kernel_matrix(p, p, spec), kernel_matrix(log_frames, p, spec).mean(axis=0)
+        return kernel_matrix(p, p, spec), kernel_matrix(sample, p, spec).mean(axis=0)
 
     weights = np.full(cfg.m, 1.0 / cfg.m)
     kyy, kxy_mean = loss_terms(prototypes)

@@ -60,7 +60,7 @@ def table_runs(moving5_test_split):
         centers, _ = kmeans_centroids(v.frames, 5, make_rng(1000, i))
         runs["kmeans"].append(
             evaluate(kmeans_segmentation(v.frames, 5, make_rng(1000, i)), gt).mof)
-        spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))
+        spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))[0]
         runs["kernel_kmeans"].append(
             evaluate(kernel_kmeans_assign(v.frames, centers, spec), gt).mof)
         _, seg0 = segment_video(v, TrainConfig(m=5, epochs=0, seed=i), PROFILES["synthetic"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mmdseg import cli
+from mmdseg import TrainConfig, VideoFeatures, cli, make_rng, segment_video
 from mmdseg.preprocess import save_features, save_labels
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -67,3 +67,18 @@ def test_randm_task_is_rebindable_with_features_path_first(tmp_path, monkeypatch
     assert cli.main(["randm", "--features-dir", str(tmp_path), "--mbar", "2", "--method", "uniform",
                      "--out", str(tmp_path / "randm.csv")]) == 0
     assert seen == [str(f) for f in feats]
+
+
+def test_resolve_spec_is_traced_once_per_video(monkeypatch):
+    """``run.py`` traces ``kernels.resolve_spec`` through every module that
+    binds it; one ``segment_video`` must open exactly one such span."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer").Tracer()
+    frames = make_rng(7).normal(size=(30, 4))
+    tracer.patch("mmdseg.kernels", "resolve_spec", "kernels.resolve_spec")
+    try:
+        segment_video(VideoFeatures(frames=frames, name="traced"), TrainConfig(m=3, epochs=1))
+    finally:
+        tracer.unpatch()
+    assert [span[0] for span in tracer.spans] == ["kernels.resolve_spec"]

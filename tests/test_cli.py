@@ -288,6 +288,40 @@ class TestEval:
         with open(agg) as fh:
             assert [r["video"] for r in csv.DictReader(fh)] == ["alpha", "beta", "mean"]
 
+    def test_aggregate_missing_metric_exit_2(self, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"video": "a", "mof": 0.5, "f1": 0.4}))
+        assert main(["eval", "--aggregate", str(rep), "--out", str(tmp_path / "agg.csv")]) == 2
+        assert f"{rep}: expected a JSON object with the key 'iou'" in capsys.readouterr().err
+
+    def test_pred_missing_frame_labels_exit_2(self, tmp_path, capsys):
+        _, labs = write_blob_video(tmp_path)
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"name": "v", "n_frames": 36}))
+        assert main(["eval", "--pred", str(pred), "--labels", str(labs),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{pred}: expected a JSON object with the key 'frame_labels'" in capsys.readouterr().err
+
+    def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
+        _, labs = write_blob_video(tmp_path)
+        doc = tmp_path / "list.json"
+        doc.write_text(json.dumps([0, 1, 1]))
+        assert main(["eval", "--aggregate", str(doc), "--out", str(tmp_path / "agg.csv")]) == 2
+        assert main(["eval", "--pred", str(doc), "--labels", str(labs),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{doc}: expected a JSON object with the key 'mof'" in err
+        assert f"{doc}: expected a JSON object with the key 'frame_labels'" in err
+
+    def test_not_json_exit_2(self, tmp_path, capsys):
+        _, labs = write_blob_video(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("mof = 0.5\n")
+        assert main(["eval", "--pred", str(bad), "--labels", str(labs),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert main(["eval", "--aggregate", str(bad), "--out", str(tmp_path / "agg.csv")]) == 2
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err
+
 
 class TestRandm:
     def test_draw_envelope_synthetic(self):

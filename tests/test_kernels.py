@@ -72,7 +72,7 @@ class TestGaussKernel:
 
 
 def lengthscale(x):
-    return resolve_spec(x, KernelSpec(family="gauss")).lengthscale
+    return resolve_spec(x, KernelSpec(family="gauss"))[0].lengthscale
 
 
 def brute_force_scales(x, family):
@@ -140,8 +140,8 @@ class TestMedianLengthscale:
         x = make_rng(23).normal(size=(60, 3)) * make_rng(24).uniform(0.5, 2.0, size=(60, 1))
         keep = np.sort(make_rng(5).choice(60, size=30, replace=False))
         for family in FAMILIES:
-            a = resolve_spec(x, KernelSpec(family=family), make_rng(5))
-            assert a == resolve_spec(x, KernelSpec(family=family), make_rng(5)), family
+            a = resolve_spec(x, KernelSpec(family=family), make_rng(5))[0]
+            assert a == resolve_spec(x, KernelSpec(family=family), make_rng(5))[0], family
             lam, _, alpha = brute_force_scales(x[keep], family)
             _, r, _ = brute_force_scales(x, family)
             assert a.lengthscale == pytest.approx(lam, rel=1e-12), family
@@ -159,7 +159,7 @@ class TestResolveSpec:
         expected = {"gauss": (1.0, 1.0), "nngp": (r, 1.0), "ntk": (r, 1.0), "ntk_sphere": (r, 1.0),
                     "gauss_ntk": (r, alpha), "gauss_ntk_sphere": (r, alpha)}
         for family in FAMILIES:
-            spec = resolve_spec(frames, KernelSpec(family=family), make_rng(0, 0))
+            spec = resolve_spec(frames, KernelSpec(family=family), make_rng(0, 0))[0]
             got = (spec.lengthscale, spec.input_scale, spec.alpha)
             assert got == (1.4478496238737182, *expected[family]), family
 
@@ -184,10 +184,25 @@ class TestResolveSpec:
                     with pytest.raises(DegenerateScaleError, match=alpha):
                         resolve_spec(x, KernelSpec(family=family))
                     continue
-                spec = resolve_spec(x, KernelSpec(family=family))
+                spec = resolve_spec(x, KernelSpec(family=family))[0]
                 assert spec.lengthscale == pytest.approx(lam, rel=1e-9), (n, scale)
                 assert spec.input_scale == pytest.approx(r, rel=1e-12), (n, scale)
                 assert spec.alpha == pytest.approx(alpha, rel=1e-9), (n, scale)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_kxx_mean_is_the_mean_kernel_value_of_the_sample(self, family, monkeypatch):
+        # Unsampled (40 frames) and sampled (80 frames, cap 30): the mean over
+        # every ordered pair of the returned sample, diagonal included.
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        keeps = []
+        for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30)):
+            monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
+            spec, keep, kxx_mean = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
+            expected = kernel_matrix(f[keep], f[keep], spec).mean()
+            assert kxx_mean == pytest.approx(expected, rel=1e-12), len(f)
+            keeps.append(keep)
+        assert keeps[0] == slice(None)
+        assert np.array_equal(np.unique(keeps[1]), keeps[1]) and len(keeps[1]) == 30
 
 
 class TestNtkBase:
@@ -235,7 +250,7 @@ class TestNtkBase:
 
 
 def input_scale(x, family):
-    return resolve_spec(x, KernelSpec(family=family)).input_scale
+    return resolve_spec(x, KernelSpec(family=family))[0].input_scale
 
 
 class TestNtkInputScale:
@@ -273,7 +288,7 @@ class TestNtkInputScale:
     def test_resolve_spec_freezes_scale_for_ntk_families(self):
         x = sphere_project(make_rng(45).normal(size=(12, 25)))
         for family in FAMILIES:
-            resolved = resolve_spec(x, KernelSpec(family=family))
+            resolved = resolve_spec(x, KernelSpec(family=family))[0]
             expected = 1.0 if family == "gauss" else 5.0
             assert resolved.input_scale == pytest.approx(expected, rel=1e-12), family
 
@@ -282,7 +297,7 @@ class TestNtkInputScale:
         # dominates K0 and the NTK factor varies by ~1% across centres, so the
         # product-kernel argmax collapses to the Euclidean argmin.
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
-        spec = resolve_spec(frames, KernelSpec(family="gauss_ntk"), make_rng(0, 0))
+        spec = resolve_spec(frames, KernelSpec(family="gauss_ntk"), make_rng(0, 0))[0]
         centres = init_uniform_means(frames, 5)
         ntk = kernel_matrix(frames, centres, replace(spec, family="ntk"))
         spread = (ntk.max(axis=1) - ntk.min(axis=1)) / ntk.max(axis=1)
@@ -310,7 +325,7 @@ class TestSphereProject:
 
 
 def alpha(x, family="gauss_ntk", **kw):
-    return resolve_spec(x, KernelSpec(family=family, **kw)).alpha
+    return resolve_spec(x, KernelSpec(family=family, **kw))[0].alpha
 
 
 class TestAlphaRescale:
@@ -339,7 +354,7 @@ class TestAlphaRescale:
     def test_matches_full_enumeration_with_input_scale(self):
         # Rows of norm ~90 put the resolved input scale far from 1.
         x = 40.0 * make_rng(46).normal(size=(20, 5))
-        spec = resolve_spec(x, KernelSpec(family="gauss_ntk"))
+        spec = resolve_spec(x, KernelSpec(family="gauss_ntk"))[0]
         assert spec.input_scale < 0.05
         _, _, expected = brute_force_scales(x, "gauss_ntk")
         assert spec.alpha == pytest.approx(expected, rel=1e-12)

@@ -20,7 +20,7 @@ from mmdseg import (
     train_approximation,
     uniform_spans,
 )
-from mmdseg import learner
+from mmdseg import kernels, learner
 from mmdseg.learner import PROFILES, Profile, preprocess_video
 from mmdseg.errors import DegenerateScaleError, ShapeError
 from mmdseg.mmd import simplex_weights
@@ -142,6 +142,22 @@ class TestTrainApproximation:
         assert approx.weights.sum() == pytest.approx(1.0, abs=1e-12)
         expected = mmd2(v.frames, approx.prototypes, approx.spec, approx.weights)
         assert approx.train_log[-1] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+    def test_loss_and_refit_on_the_scale_sample(self, monkeypatch):
+        # Above the frame cap the trainer logs and refits on the frames that
+        # resolve_spec sampled for the scales.
+        monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 30)
+        f = generate_video(make_rng(0), SynthConfig(seed=0)).frames[:80]
+        v = VideoFeatures(frames=f, name="sampled")
+        for s in (0, 1):
+            cfg = TrainConfig(m=3, epochs=0, seed=s)
+            spec, keep, _ = kernels.resolve_spec(f, cfg.kernel, make_rng(s, 0))
+            assert len(keep) == 30
+            log = train_approximation(v, cfg).train_log
+            assert log[0] == pytest.approx(mmd2(f[keep], init_uniform_means(f, 3), spec), rel=1e-9)
+            approx = train_approximation(v, replace(cfg, epochs=2))
+            expected = mmd2(f[keep], approx.prototypes, spec, approx.weights)
+            assert approx.train_log[-1] == pytest.approx(expected, rel=1e-9)
 
     def test_surplus_prototype_loses_its_mass(self):
         # Three prototypes for two blobs: MMD-optimal weights leave one of
