@@ -186,8 +186,10 @@ def cmd_eval(args) -> int:
     if not args.pred or not args.labels:
         raise ConsistencyError("eval needs --pred and --labels (or --aggregate)")
     pred, _ = _read_json(args.pred, ("frame_labels",))
-    gt = load_labels(args.labels)
-    report = evaluate(np.asarray(pred["frame_labels"], dtype=np.int64), gt,
+    labels = pred["frame_labels"]
+    if not isinstance(labels, list) or not all(type(v) is int and -2**63 <= v < 2**63 for v in labels):
+        raise ParseError(f"{args.pred}: 'frame_labels' must be a JSON array of int64 integers")
+    report = evaluate(np.asarray(labels, dtype=np.int64), load_labels(args.labels),
                       exclude_gt=args.exclude_bg, boundary_tol=args.boundary_tol)
     _write_json(args.out, {"video": pred.get("name", Path(args.pred).stem), **report.to_dict()})
     return 0

@@ -24,19 +24,19 @@ Input scale convention: the 1/d in K0 assumes network inputs with
 ``||x||^2 / d ~ 1``. Feature rows rarely look like that (the synthetic frames
 are unit-norm and 2352-D, so the data term would be ~1e-3 against sb2 = 0.1
 and the NTK factor would be numerically constant). ``resolve_spec`` therefore
-freezes, per video, r = sqrt(d / med ||x||^2) over the rows the network sees
-(the sphere-projected rows for the ``_sphere`` families, where r = sqrt(d)).
-The network's input is ``r * x``: the closed form, its gradient and the
-finite-width network all describe that same network, and the product
-rescaling alpha uses the same r. An unresolved spec has r = 1, the plain
-network.
+freezes, per video, r = sqrt(d / med ||x||^2) over all frames. The
+``_sphere`` families feed the network unit rows, so their r is exactly
+sqrt(d). The network's input is ``r * x``: the closed form, its gradient
+and the finite-width network all describe that same network, and the
+product rescaling alpha uses the same r. An unresolved spec has r = 1, the
+plain network.
 
 Scales: ``resolve_spec`` fixes a video's lengthscale, input scale and alpha
 in one pass. It samples at most ``MAX_SCALE_FRAMES`` frames once and takes
 the pair statistics of both medians from one Gram product of the raw sample
-(one more on the projected sample for the ``_sphere`` NTK). From the same
-pair values it returns the resolved kernel's mean over the sample, which the
-trainer's loss uses as mean(Kxx) on that sample.
+(the ``_sphere`` NTK reads its cosines, gram / (|a| |b|), from that same
+product). From the same pair values it returns the resolved kernel's mean
+over the sample, which the trainer's loss uses as mean(Kxx) on that sample.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -48,9 +48,9 @@ Gradients with respect to the second argument decompose as
 
 for scalar coefficient fields U, W. Every family goes through ``_kernel``,
 which forms the Gram product and squared row norms of its two row sets once
-(once more on the projected rows for the ``_sphere`` NTK) and returns, in
-one pass, the kernel values and, when asked, the full coefficient matrices,
-so that MMD gradients reduce to matrix products.
+(the ``_sphere`` NTK divides the product by the row norms to get its
+cosines) and returns, in one pass, the kernel values and, when asked, the
+full coefficient matrices, so that MMD gradients reduce to matrix products.
 """
 
 from __future__ import annotations
@@ -126,18 +126,19 @@ def _as_2d(x) -> np.ndarray:
     return x
 
 
-def _project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row norms of ``x`` and its rows divided by them; rejects all-zero rows."""
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        bad = int(np.flatnonzero(norms == 0.0)[0])
+def _row_norms(sq: np.ndarray) -> np.ndarray:
+    """Row norms from the squared row norms ``sq``; rejects all-zero rows,
+    which have no direction."""
+    if np.any(sq == 0.0):
+        bad = int(np.flatnonzero(sq == 0.0)[0])
         raise DegenerateInputError(f"cannot sphere-project all-zero row {bad}")
-    return norms, x / norms[:, None]
+    return np.sqrt(sq)
 
 
 def sphere_project(x: np.ndarray) -> np.ndarray:
     """Divide each row by its Euclidean norm; rejects all-zero rows."""
-    return _project(_as_2d(x))[1]
+    x = _as_2d(x)
+    return x / _row_norms(np.sum(x * x, axis=1))[:, None]
 
 
 def _gram(a: np.ndarray, b: np.ndarray):
@@ -198,22 +199,23 @@ def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
     """Kernel values between the rows of ``a`` and ``b``; with ``grad`` the
     tuple (values, U, W), grad_b k(a_i, b_j) = U[i, j] a_i + W[i, j] b_j.
 
-    One Gram product per row space: the raw rows feed the Gaussian and the
-    raw NTK, the projected rows feed the ``_sphere`` NTK.
+    One Gram product per call. The Gaussian and the raw NTK read it as is;
+    the ``_sphere`` NTK sees the rows divided by their norms, so it reads the
+    cosines ``gram / outer(|a|, |b|)``, with squared norms of exactly 1.
     """
     family = spec.family
     sphere = family in SPHERE_FAMILIES
     kg = None
-    if family != "ntk_sphere":
-        gram, sq_a, sq_b = _gram(a, b)
+    gram, sq_a, sq_b = _gram(a, b)
     if family in GAUSS_FAMILIES:
         kg = _gauss(sqdist_from_gram(a, b, gram, sq_a, sq_b), spec)
         if family == "gauss":
             f = 2.0 / spec.lengthscale**2
             return (kg, f * kg, -f * kg) if grad else kg
     if sphere:
-        (na, a), (nb, b) = _project(a), _project(b)
-        gram, sq_a, sq_b = _gram(a, b)
+        na, nb = _row_norms(sq_a), _row_norms(sq_b)
+        gram /= np.outer(na, nb)
+        sq_a, sq_b = np.ones_like(na), np.ones_like(nb)
 
     s = _k0_factor(a.shape[1], spec)
     k0_aa = s * sq_a + spec.sigma_b_sq
@@ -285,12 +287,14 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
       of the video) it runs over the nonzero distances, so the lengthscale
       measures how the frames that do differ differ; when none is left the
       scale has collapsed and ``DegenerateScaleError`` is raised;
-    - for NTK families, the network's input scale r = sqrt(d / med ||x||^2),
-      over all frames as the network sees them (sphere-projected for the
-      ``_sphere`` families);
+    - for NTK families, the network's input scale r = sqrt(d / med ||x||^2)
+      over all frames. The ``_sphere`` families see unit rows, so r is
+      exactly sqrt(d), and their NTK reads the cosines gram / (|x_i| |x_j|)
+      of the same product, with self terms of exactly 1. Every frame, not
+      only the sample, must then have a direction: an all-zero row raises
+      ``DegenerateInputError``;
     - for product families, alpha = med(gauss) / med(ntk) over the sampled
-      pairs, which brings the two factors into the same range. The
-      ``_sphere`` NTK takes one more Gram product, on the projected sample;
+      pairs, which brings the two factors into the same range;
     - ``kxx_mean``, the resolved kernel's mean over all ordered pairs of the
       sample, diagonal included: the mean(Kxx) of the trainer's loss.
 
@@ -327,14 +331,14 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     diag = np.ones(m)  # the Gaussian's diagonal
     del sqdist
     if family != "gauss":
-        projected = sphere_project(x) if family in SPHERE_FAMILIES else None
-        med_sq = median(sq_all if projected is None else np.sum(projected * projected, axis=1))
+        med_sq = 1.0 if family in SPHERE_FAMILIES else median(sq_all)
         if med_sq <= 0.0:
             raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
         resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
-        if projected is not None:
-            sample = projected[keep]
-            gram = sample @ sample.T
+        if family in SPHERE_FAMILIES:  # the network sees unit rows: K0 reads the cosines
+            norms = _row_norms(sq_all)[keep]
+            gram /= np.outer(norms, norms)
+            np.fill_diagonal(gram, 1.0)  # self terms of exactly s + sb2
         s = _k0_factor(d, resolved)
         k0_diag = s * np.diag(gram) + spec.sigma_b_sq
         p = np.sqrt(k0_diag[i] * k0_diag[j])

@@ -58,7 +58,7 @@ def _parse_feature_line(line: str, lineno: int, path) -> list[float]:
         raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
 
 
-def load_features(path, labels_path=None, name: str | None = None) -> VideoFeatures:
+def load_features(path, labels_path=None) -> VideoFeatures:
     """Read a feature file (and optionally a label file) into VideoFeatures."""
     path = Path(path)
     rows: list[list[float]] = []
@@ -82,11 +82,7 @@ def load_features(path, labels_path=None, name: str | None = None) -> VideoFeatu
         bad = int(np.flatnonzero(~np.isfinite(frames).all(axis=1))[0])
         raise ParseError(f"{path}:{linenos[bad]}: non-finite feature values")
     labels = load_labels(labels_path) if labels_path is not None else None
-    if name is None:
-        name = path.stem
-        if name.endswith("_features"):
-            name = name[: -len("_features")]
-    return VideoFeatures(frames=frames, labels=labels, name=name)
+    return VideoFeatures(frames=frames, labels=labels, name=path.stem.removesuffix("_features"))
 
 
 def load_labels(path) -> np.ndarray:

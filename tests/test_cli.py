@@ -142,6 +142,13 @@ class TestSegment:
                      "--epochs", "0", "--out", str(tmp_path / "o.json")]) == 3
         assert "DegenerateInputError" in capsys.readouterr().err
 
+    def test_zero_row_sphere_kernel_exit_3(self, tmp_path, capsys):
+        feat = tmp_path / "z_features.txt"
+        save_features(feat, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        assert main(["segment", "--features", str(feat), "--m", "2", "--kernel", "gauss_ntk_sphere",
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert "[DegenerateInputError]: cannot sphere-project all-zero row 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("baseline, flags, message", [
         ("uniform", ["--m", "2", "--epochs", "-1"], "epochs must be nonnegative"),
         ("kmeans", ["--m", "0"], "m must be at least 1"),
@@ -255,6 +262,20 @@ class TestEval:
         pred.write_text(json.dumps(seg))
         assert main(["eval", "--pred", str(pred), "--labels", str(labs),
                      "--out", str(tmp_path / "r.json")]) == 3
+
+    @pytest.mark.parametrize("frame_labels", [
+        "abc", [[0, 1], [1]], [0.5, 1, 1], [True, False, True], ["0", "1", "1"],
+        None, {"a": 1}, [1e300, 1, 1], [2**63, 1, 1],
+    ], ids=["string", "nested", "fraction", "bool", "digit-strings", "null", "object",
+            "huge-float", "above-int64"])
+    def test_malformed_frame_labels_exit_2(self, tmp_path, capsys, frame_labels):
+        labs = tmp_path / "l_labels.txt"
+        save_labels(labs, [0, 1, 1])
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"name": "v", "frame_labels": frame_labels}))
+        assert main(["eval", "--pred", str(pred), "--labels", str(labs),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{pred}: 'frame_labels' must be a JSON array of int64 integers" in capsys.readouterr().err
 
     def test_aggregate_writes_csv_with_mean_row(self, tmp_path):
         rows = [{"video": "a", "mof": 0.5, "iou": 0.25, "f1": 0.4, "boundary_accuracy": 1.0,

@@ -15,7 +15,8 @@ from mmdseg import (
     sphere_project,
 )
 from mmdseg import kernels
-from mmdseg.kernels import resolve_spec
+from mmdseg.kernels import SPHERE_FAMILIES, resolve_spec
+from mmdseg.mmd import mmd2_grad_y
 from mmdseg.learner import init_uniform_means
 from mmdseg.synthgen import SynthConfig, generate_video
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError, KernelSpecError, ShapeError
@@ -157,7 +158,7 @@ class TestResolveSpec:
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
         r, alpha = 48.49742261192856, 0.3300532723673633
         expected = {"gauss": (1.0, 1.0), "nngp": (r, 1.0), "ntk": (r, 1.0), "ntk_sphere": (r, 1.0),
-                    "gauss_ntk": (r, alpha), "gauss_ntk_sphere": (r, alpha)}
+                    "gauss_ntk": (r, alpha), "gauss_ntk_sphere": (r, 0.33005327236736337)}
         for family in FAMILIES:
             spec = resolve_spec(frames, KernelSpec(family=family), make_rng(0, 0))[0]
             got = (spec.lengthscale, spec.input_scale, spec.alpha)
@@ -323,6 +324,26 @@ class TestSphereProject:
         with pytest.raises(DegenerateInputError):
             sphere_project(np.array([[0.0, 0.0]]))
 
+    @pytest.mark.parametrize("family", SPHERE_FAMILIES)
+    def test_sphere_families_name_the_zero_row(self, family, monkeypatch):
+        rng = make_rng(29)
+        x, zero = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+        zero[3] = 0.0
+        spec = spec_for(family)
+        for a, b in ((zero, x), (x, zero)):
+            with pytest.raises(DegenerateInputError, match="all-zero row 3$"):
+                kernel_matrix(a, b, spec)
+        with pytest.raises(DegenerateInputError, match="all-zero row 3$"):
+            mmd2_grad_y(x, zero, spec)
+        # A zero frame outside the scale sample still has no direction.
+        monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 8)
+        frames = rng.normal(size=(30, 4))
+        keep = resolve_spec(frames, KernelSpec(family=family))[1]
+        k = int(np.setdiff1d(np.arange(30), keep)[0])
+        frames[k] = 0.0
+        with pytest.raises(DegenerateInputError, match=f"all-zero row {k}$"):
+            resolve_spec(frames, KernelSpec(family=family))
+
 
 def alpha(x, family="gauss_ntk", **kw):
     return resolve_spec(x, KernelSpec(family=family, **kw))[0].alpha
@@ -456,6 +477,18 @@ class TestKernelGradB:
 
 
 class TestKernelProperties:
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+    def test_sphere_ntk_is_scale_invariant(self, c):
+        rng = make_rng(37)
+        spec = spec_for("ntk_sphere", input_scale=2.3)
+        a, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5))
+        k = kernel_matrix(a, b, spec)
+        assert kernel_matrix(c * a, b, spec) == pytest.approx(k, rel=1e-12)
+        assert kernel_matrix(a, c * b, spec) == pytest.approx(k, rel=1e-12)
+        for a_row, b_row in zip(a, b):
+            grad = kernel_grad_b(a_row, b_row, spec)
+            assert kernel_grad_b(a_row, c * b_row, spec) == pytest.approx(grad / c, rel=1e-10)
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_symmetry(self, family):
         rng = make_rng(37)
