@@ -136,9 +136,22 @@ def _row_norms(sq: np.ndarray) -> np.ndarray:
 
 
 def sphere_project(x: np.ndarray) -> np.ndarray:
-    """Divide each row by its Euclidean norm; rejects all-zero rows."""
+    """Divide each row by its Euclidean norm; rejects all-zero rows.
+
+    A row whose squared norm is 0, subnormal or inf is first divided by its
+    largest absolute entry, so tiny and huge rows keep their direction; every
+    other row is divided by ``sqrt(sum(x * x))`` as it stands.
+    """
     x = _as_2d(x)
-    return x / _row_norms(np.sum(x * x, axis=1))[:, None]
+    with np.errstate(over="ignore"):  # such rows are rescaled below
+        sq = np.sum(x * x, axis=1)
+    extreme = ~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf))
+    if np.any(extreme):
+        peak = np.max(np.abs(x[extreme]), axis=1, keepdims=True)
+        x = x.copy()
+        x[extreme] /= np.where(peak > 0.0, peak, 1.0)
+        sq[extreme] = np.sum(x[extreme] * x[extreme], axis=1)
+    return x / _row_norms(sq)[:, None]
 
 
 def _gram(a: np.ndarray, b: np.ndarray):

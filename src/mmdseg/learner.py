@@ -14,6 +14,7 @@ segments can fall below M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +211,10 @@ class Profile:
 
     smooth_s: float
     normalize: bool = False
+
+    def __post_init__(self):
+        if not math.isfinite(self.smooth_s):
+            raise ValueError(f"smoothing factor smooth_s must be finite, got {self.smooth_s}")
 
 
 PROFILES = {

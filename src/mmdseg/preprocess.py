@@ -10,6 +10,7 @@ all tokens are interned to integers in first-appearance order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -27,6 +28,10 @@ __all__ = [
     "l2_normalize_rows",
     "temporal_smooth",
 ]
+
+# Output frames per banded product in ``temporal_smooth``; of 64 to 512, 128 was
+# fastest on 2400 x 2352 frames with one BLAS thread.
+SMOOTH_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -126,20 +131,28 @@ def l2_normalize_rows(v: VideoFeatures) -> VideoFeatures:
 
 
 def smoothing_window(s: float, n_frames: int, m: int) -> int:
-    """Window size ~ s * N / m, at least one frame."""
+    """Window size ~ s * N / m, at least one frame; a window that is not
+    finite (s inf or nan, or s * N overflowing) is a ValueError."""
     if s <= 0:
         raise ValueError("smoothing factor s must be positive")
     if m < 1:
         raise ValueError("m must be at least 1")
-    return max(1, round(s * n_frames / m))
+    w = s * n_frames / m
+    if not math.isfinite(w):
+        raise ValueError(f"smoothing factor s={s} gives a non-finite window s * N / m")
+    return max(1, round(w))
 
 
 def temporal_smooth(v: VideoFeatures, s: float, m: int) -> VideoFeatures:
-    """Gaussian smoothing along time, one pass per feature dimension.
+    """Gaussian smoothing along time, one banded matrix product per block of
+    ``SMOOTH_BLOCK`` output frames.
 
     The kernel spans a window of about s * N / m frames with sigma = w / 4,
     truncated at the window edge, normalized to sum 1; the sequence is
-    reflect-padded so boundary frames keep full weight. Labels pass through.
+    reflect-padded so boundary frames keep full weight. Row i of the
+    Toeplitz ``band`` holds the K taps from column i, so output frames
+    ``lo .. lo + b - 1`` are ``band[:b, :b + K - 1] @ padded[lo : lo + b + K - 1]``;
+    the short last block uses the band's top-left corner. Labels pass through.
     """
     w = smoothing_window(s, v.n_frames, m)
     radius = min((w - 1) // 2, v.n_frames - 1)
@@ -150,7 +163,11 @@ def temporal_smooth(v: VideoFeatures, s: float, m: int) -> VideoFeatures:
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
     padded = np.pad(v.frames, ((radius, radius), (0, 0)), mode="reflect")
+    rows = np.arange(SMOOTH_BLOCK)[:, None]
+    band = np.zeros((SMOOTH_BLOCK, SMOOTH_BLOCK + 2 * radius))
+    band[rows, rows + np.arange(kernel.size)] = kernel
     smoothed = np.empty_like(v.frames)
-    for dim in range(v.frames.shape[1]):
-        smoothed[:, dim] = np.convolve(padded[:, dim], kernel, mode="valid")
+    for lo in range(0, v.n_frames, SMOOTH_BLOCK):
+        b = min(SMOOTH_BLOCK, v.n_frames - lo)
+        np.matmul(band[:b, :b + 2 * radius], padded[lo:lo + b + 2 * radius], out=smoothed[lo:lo + b])
     return replace(v, frames=smoothed)

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from mmdseg import TrainConfig, VideoFeatures, cli, make_rng, segment_video
+from mmdseg.learner import PROFILES
 from mmdseg.preprocess import save_features, save_labels
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -82,3 +83,22 @@ def test_resolve_spec_is_traced_once_per_video(monkeypatch):
     finally:
         tracer.unpatch()
     assert [span[0] for span in tracer.spans] == ["kernels.resolve_spec"]
+
+
+def test_temporal_smooth_is_traced_once_per_long_video(monkeypatch):
+    """``run.py`` traces ``preprocess.temporal_smooth``: one ``segment_video``
+    opens one such span on the ``long`` profile and none on ``synthetic``,
+    which does not smooth."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer").Tracer()
+    v = VideoFeatures(frames=make_rng(8).normal(size=(40, 4)), name="traced")
+    tracer.patch("mmdseg.preprocess", "temporal_smooth", "preprocess.temporal_smooth")
+    try:
+        segment_video(v, TrainConfig(m=3, epochs=1), PROFILES["long"])
+        long_spans = [span[0] for span in tracer.spans]
+        segment_video(v, TrainConfig(m=3, epochs=1), PROFILES["synthetic"])
+    finally:
+        tracer.unpatch()
+    assert long_spans == ["preprocess.temporal_smooth"]
+    assert [span[0] for span in tracer.spans] == long_spans

@@ -149,6 +149,17 @@ class TestSegment:
                      "--out", str(tmp_path / "o.json")]) == 3
         assert "[DegenerateInputError]: cannot sphere-project all-zero row 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("smooth, message", [
+        ("inf", "smoothing factor smooth_s must be finite, got inf"),
+        ("nan", "smoothing factor smooth_s must be finite, got nan"),
+        ("1e308", "smoothing factor s=1e+308 gives a non-finite window s * N / m"),
+    ])
+    def test_non_finite_smoothing_factor_exit_3(self, tmp_path, capsys, smooth, message):
+        feat, _ = write_blob_video(tmp_path)
+        assert main(["segment", "--features", str(feat), "--m", "2", "--epochs", "0",
+                     "--smooth", smooth, "--out", str(tmp_path / "o.json")]) == 3
+        assert f"[ValueError]: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("baseline, flags, message", [
         ("uniform", ["--m", "2", "--epochs", "-1"], "epochs must be nonnegative"),
         ("kmeans", ["--m", "0"], "m must be at least 1"),

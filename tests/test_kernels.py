@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -323,6 +324,21 @@ class TestSphereProject:
     def test_zero_row(self):
         with pytest.raises(DegenerateInputError):
             sphere_project(np.array([[0.0, 0.0]]))
+
+    @pytest.mark.parametrize("row, expected", [
+        ([1e200, 1e200], [np.sqrt(0.5), np.sqrt(0.5)]),  # sum(x*x) overflows to inf
+        ([1e-170, 0.0], [1.0, 0.0]),  # underflows to 0
+        ([1e-160, 1e-160], [np.sqrt(0.5), np.sqrt(0.5)]),  # subnormal
+    ])
+    def test_rows_whose_squared_norm_leaves_the_normal_range(self, row, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sphere_project(np.array([row]))
+        assert np.allclose(out, [expected], rtol=1e-15, atol=0.0)
+
+    def test_rows_with_a_normal_squared_norm_keep_their_bits(self):
+        x = make_rng(30).normal(size=(40, 7)) * np.logspace(-150, 150, 40)[:, None]
+        assert np.array_equal(sphere_project(x), x / np.sqrt(np.sum(x * x, axis=1))[:, None])
 
     @pytest.mark.parametrize("family", SPHERE_FAMILIES)
     def test_sphere_families_name_the_zero_row(self, family, monkeypatch):

@@ -111,6 +111,14 @@ class TestL2Normalize:
         assert np.array_equal(out.labels, [0, 1])
 
 
+def gaussian_taps(w, n):
+    """Radius and normalized taps of a w-frame window on an n-frame video."""
+    radius = min((w - 1) // 2, n - 1)
+    sigma = w / 4.0
+    kern = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma**2))
+    return radius, kern / kern.sum()
+
+
 class TestTemporalSmooth:
     def test_window_of_one_is_identity(self):
         v = video(make_rng(73).normal(size=(30, 4)))
@@ -128,11 +136,25 @@ class TestTemporalSmooth:
         out = temporal_smooth(v, s=1.0, m=5)  # w = round(40/5) = 8
         w = smoothing_window(1.0, 40, 5)
         assert w == 8
-        radius = (w - 1) // 2
-        sigma = w / 4.0
-        kern = np.exp(-np.arange(-radius, radius + 1) ** 2 / (2 * sigma**2))
-        kern /= kern.sum()
+        radius, kern = gaussian_taps(w, 40)
         assert np.allclose(out.frames[:, 0], direct_convolution(sig, kern, radius), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 300])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_direct_convolution_across_row_blocks(self, n, d):
+        """Windows from radius 0 to the n - 1 cap, the last with s * n / m > 2n;
+        n = 127..129 and 300 put block edges inside and at the end of the video."""
+        x = make_rng(76 + n + d).normal(size=(n, d)) * 1e3
+        radii = set()
+        for s in (0.5 / n, 3.0 / n, 0.1, 0.5, 1.0, 2.0, 3.0):  # m = 1, so w = round(s * n)
+            w = smoothing_window(s, n, 1)
+            radius, kern = gaussian_taps(w, n)
+            radii.add(radius)
+            out = temporal_smooth(video(x), s=s, m=1).frames
+            ref = np.stack([direct_convolution(x[:, j], kern, radius) for j in range(d)], axis=1)
+            assert np.allclose(out, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(x)))
+        assert min(radii) == 0 and max(radii) == n - 1
+        assert smoothing_window(3.0, n, 1) > 2 * n
 
     def test_shift_equivariant_in_the_interior(self):
         rng = make_rng(74)
@@ -152,3 +174,9 @@ class TestTemporalSmooth:
     def test_bad_s(self):
         with pytest.raises(ValueError):
             temporal_smooth(video(np.zeros((5, 2))), s=0.0, m=2)
+
+    @pytest.mark.parametrize("s, name", [(np.inf, "inf"), (np.nan, "nan"), (1e308, "1e+308")])
+    def test_non_finite_window(self, s, name):
+        with pytest.raises(ValueError) as err:
+            temporal_smooth(video(np.zeros((5, 2))), s=s, m=2)
+        assert str(err.value) == f"smoothing factor s={name} gives a non-finite window s * N / m"
