@@ -9,7 +9,7 @@ the product-kernel rescaling.
 
 import numpy as np
 
-from mmdseg import FAMILIES, KernelSpec, kernel_matrix, make_rng, ntk_base, resolve_spec
+from mmdseg import FAMILIES, KernelSpec, kernel_matrix, make_rng, resolve_spec
 
 rng = make_rng(0)
 x = rng.normal(size=(8, 5))
@@ -38,16 +38,17 @@ for family in FAMILIES:
 print("\nAll families are symmetric and PSD; gauss stays in (0, 1].")
 
 # The NTK closed form describes an infinitely wide Dense->ReLU->Dense network.
-# For two aligned inputs it reduces to simple expressions:
+# For two aligned inputs it reduces to simple expressions of
+# K0(a, a) = sw2 * <a, a> / d + sb2:
 a = np.array([1.0, 0.0, 0.0])
-spec_ntk = KernelSpec(family="ntk")
-k0, nngp, ntk = ntk_base(a, a, spec_ntk)
-print(f"\nself-kernel of a unit vector: K0 {k0:.4f}, NNGP {nngp:.4f}, NTK {ntk:.4f}")
-print(f"  (NNGP = sw2*K0/2 + sb2 = {spec_ntk.sigma_w_sq * k0 / 2 + spec_ntk.sigma_b_sq:.4f})")
-
 b = np.array([0.0, 1.0, 0.0])
-_, nngp_orth, ntk_orth = ntk_base(a, b, spec_ntk)
-print(f"orthogonal pair:              NNGP {nngp_orth:.4f}, NTK {ntk_orth:.4f}")
+spec_ntk = KernelSpec(family="ntk")
+k0 = spec_ntk.sigma_w_sq * float(a @ a) / a.size + spec_ntk.sigma_b_sq
+nngp = kernel_matrix(a, np.stack([a, b]), KernelSpec(family="nngp"))[0]
+ntk = kernel_matrix(a, np.stack([a, b]), spec_ntk)[0]
+print(f"\nself-kernel of a unit vector: K0 {k0:.4f}, NNGP {nngp[0]:.4f}, NTK {ntk[0]:.4f}")
+print(f"  (NNGP = sw2*K0/2 + sb2 = {spec_ntk.sigma_w_sq * k0 / 2 + spec_ntk.sigma_b_sq:.4f})")
+print(f"orthogonal pair:              NNGP {nngp[1]:.4f}, NTK {ntk[1]:.4f}")
 
 # K0 divides <a, b> by the dimension d, which assumes inputs with
 # ||x||^2 / d ~ 1. Unit-norm rows in high dimension would leave the bias

@@ -7,8 +7,9 @@ on a small synthetic split, and prints the per-method mean metrics.
 
 import numpy as np
 
-from mmdseg import KernelSpec, SynthConfig, TrainConfig, evaluate, generate_moving5, make_rng, segment_video
-from mmdseg.baselines import kernel_kmeans_assign, kmeans_centroids, kmeans_segmentation, uniform_segmentation
+from mmdseg import (Approximation, KernelSpec, SynthConfig, TrainConfig, assign, evaluate, generate_moving5,
+                    make_rng, segment_video)
+from mmdseg.baselines import kmeans_centroids, kmeans_segmentation, uniform_segmentation
 from mmdseg.kernels import resolve_spec
 from mmdseg.learner import PROFILES
 
@@ -26,7 +27,8 @@ for i, v in enumerate(videos):
     centers, _ = kmeans_centroids(v.frames, M, make_rng(1000, i))
     rows["k-means"].append(evaluate(kmeans_segmentation(v.frames, M, make_rng(1000, i)), gt))
     spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))[0]
-    rows["kernel(k-means)"].append(evaluate(kernel_kmeans_assign(v.frames, centers, spec), gt))
+    kernel_kmeans = Approximation(prototypes=centers, spec=spec, train_log=[])
+    rows["kernel(k-means)"].append(evaluate(assign(v, kernel_kmeans), gt))
     _, seg0 = segment_video(v, TrainConfig(m=M, epochs=0, seed=i), PROFILES["synthetic"])
     rows["kernel(uniform)"].append(evaluate(seg0, gt))
     _, seg = segment_video(v, TrainConfig(m=M, epochs=10, seed=i), PROFILES["synthetic"])

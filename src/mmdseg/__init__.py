@@ -7,7 +7,7 @@ Gaussian kernel; frames are then labeled by their most similar synthetic
 frame.
 """
 
-from .baselines import kernel_kmeans_assign, kmeans_segmentation, uniform_segmentation
+from .baselines import kmeans_segmentation, uniform_segmentation
 from .errors import (
     ConsistencyError,
     DegenerateInputError,
@@ -18,13 +18,11 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .evaluation import EvalReport, boundary_accuracy, evaluate, hungarian_match
+from .evaluation import EvalReport, boundary_accuracy, evaluate
 from .kernels import (
     FAMILIES,
     KernelSpec,
-    kernel_grad_b,
     kernel_matrix,
-    ntk_base,
     resolve_spec,
     sphere_project,
 )
@@ -40,7 +38,7 @@ from .learner import (
     train_approximation,
     uniform_spans,
 )
-from .mmd import mmd2, mmd2_grad_y
+from .mmd import mmd2_grad_y
 from .numerics import make_rng, median, pairwise_sqdist
 from .preprocess import VideoFeatures, l2_normalize_rows, load_features, load_labels, temporal_smooth
 from .synthgen import SynthConfig, generate_moving5, generate_video, render_glyph, write_dataset

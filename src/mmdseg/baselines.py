@@ -1,17 +1,16 @@
-"""Comparison baselines: uniform splitting, Lloyd k-means with k-means++
-seeding, and kernel-space assignment of k-means centroids.
+"""Comparison baselines: uniform splitting and Lloyd k-means with k-means++
+seeding. Kernel-space assignment of k-means centroids is ``learner.assign``
+on an untrained approximation whose prototypes are the centroids.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .kernels import KernelSpec
-from .learner import Segmentation, kernel_argmax_labels, uniform_spans
+from .learner import Segmentation, uniform_spans
 from .numerics import pairwise_sqdist
 
-__all__ = ["uniform_segmentation", "kmeans_centroids", "kmeans_segmentation", "kernel_kmeans_assign"]
+__all__ = ["uniform_segmentation", "kmeans_centroids", "kmeans_segmentation"]
 
 # Most Lloyd iterations; the loop stops earlier once the labels are stable.
 KMEANS_ITERS = 100
@@ -87,11 +86,3 @@ def kmeans_segmentation(frames: np.ndarray, m: int, rng: np.random.Generator) ->
     _, labels = kmeans_centroids(frames, m, rng)
     return Segmentation.from_labels(labels)
 
-
-def kernel_kmeans_assign(frames: np.ndarray, centers: np.ndarray, spec: KernelSpec) -> Segmentation:
-    """Assign frames to k-means centroids by kernel similarity instead of L2."""
-    frames = np.asarray(frames, dtype=np.float64)
-    centers = np.asarray(centers, dtype=np.float64)
-    if frames.ndim != 2 or centers.ndim != 2 or frames.shape[1] != centers.shape[1]:
-        raise ShapeError(f"kernel_kmeans_assign: incompatible shapes {frames.shape} and {centers.shape}")
-    return Segmentation.from_labels(kernel_argmax_labels(frames, centers, spec))

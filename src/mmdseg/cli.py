@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import kernel_kmeans_assign, kmeans_centroids, kmeans_segmentation, uniform_segmentation
+from .baselines import kmeans_centroids, kmeans_segmentation, uniform_segmentation
 from .errors import ConsistencyError, NumericError, ParseError
 from .evaluation import aggregate_rows, evaluate
 from .kernels import FAMILIES, KernelSpec, resolve_spec
-from .learner import PROFILES, Profile, Segmentation, TrainConfig, preprocess_video, segment_video
+from .learner import (PROFILES, Approximation, Profile, Segmentation, TrainConfig, assign,
+                      preprocess_video, segment_video)
 from .numerics import make_rng
 from .preprocess import VideoFeatures, load_features, load_labels
 from .synthgen import SynthConfig, write_dataset
@@ -61,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
     p_seg.add_argument("--normalize", action="store_true", help="L2-normalize frames after smoothing")
     p_seg.add_argument("--seed", type=int, default=0)
-    p_seg.add_argument("--no-train", action="store_true", help="same as --epochs 0")
     p_seg.add_argument("--baseline", choices=["uniform", "kmeans", "kernel-kmeans"])
     p_seg.add_argument("--exclude-bg", type=int, default=None)
     p_seg.add_argument("--boundary-tol", type=int, default=3)
@@ -134,18 +134,18 @@ def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
         return seg, approx.train_log
     if method == "uniform":
         return uniform_segmentation(video.n_frames, cfg.m), []
-    frames = preprocess_video(video, cfg.m, profile).frames
+    prepped = preprocess_video(video, cfg.m, profile)
     if method == "kmeans":
-        return kmeans_segmentation(frames, cfg.m, make_rng(cfg.seed, 10)), []
-    centers, _ = kmeans_centroids(frames, cfg.m, make_rng(cfg.seed, 10))
-    spec = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))[0]
-    return kernel_kmeans_assign(frames, centers, spec), []
+        return kmeans_segmentation(prepped.frames, cfg.m, make_rng(cfg.seed, 10)), []
+    centers, _ = kmeans_centroids(prepped.frames, cfg.m, make_rng(cfg.seed, 10))
+    spec = resolve_spec(prepped.frames, cfg.kernel, make_rng(cfg.seed, 0))[0]
+    return assign(prepped, Approximation(prototypes=centers, spec=spec, train_log=[])), []
 
 
 def cmd_segment(args) -> int:
     video = load_features(args.features, labels_path=args.labels)
     epochs = args.epochs if args.epochs is not None else _default_epochs(args.profile)
-    cfg = TrainConfig(m=args.m, epochs=0 if args.no_train else epochs, learning_rate=args.lr,
+    cfg = TrainConfig(m=args.m, epochs=epochs, learning_rate=args.lr,
                       weight_decay=args.wd, seed=args.seed, kernel=KernelSpec(family=args.kernel))
     seg, train_log = _segment_by(args.baseline or "ours", video, cfg, _segment_profile(args))
     payload = {"name": video.name, **seg.to_dict(), "train_log": train_log}
@@ -225,6 +225,8 @@ def _randm_task(payload):
 
 
 def cmd_randm(args) -> int:
+    if args.mbar < 1:
+        raise ValueError(f"--mbar must be at least 1, got {args.mbar}")
     root = Path(args.features_dir)
     feature_files = sorted(root.glob("*_features.txt"))
     if not feature_files:

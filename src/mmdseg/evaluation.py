@@ -18,7 +18,6 @@ from .errors import ConsistencyError, EmptyEvalError
 __all__ = [
     "EvalReport",
     "solve_assignment",
-    "hungarian_match",
     "boundary_accuracy",
     "evaluate",
     "aggregate_rows",
@@ -135,12 +134,6 @@ def _scores(pred, gt):
             float(np.mean([c["iou"] for c in per_class.values()])),
             float(np.mean([c["f1"] for c in per_class.values()])),
             per_class)
-
-
-def hungarian_match(pred, gt, exclude_gt: int | None = None) -> dict[int, int | None]:
-    """Map each predicted class to the ground-truth class maximizing total
-    frame overlap; predicted classes matched to padding map to ``None``."""
-    return _scores(*_clean_pair(pred, gt, exclude_gt))[0]
 
 
 def _boundaries(labels) -> np.ndarray:

@@ -74,9 +74,7 @@ __all__ = [
     "PRODUCT_FAMILIES",
     "KernelSpec",
     "sphere_project",
-    "ntk_base",
     "kernel_matrix",
-    "kernel_grad_b",
     "resolve_spec",
 ]
 
@@ -251,16 +249,6 @@ def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
             spec.alpha * (kg * wn + kn * wg))
 
 
-def ntk_base(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> tuple[float, float, float]:
-    """Closed-form (K0, NNGP, NTK) of the raw rows for a single pair of vectors."""
-    a, b = _as_2d(a_row), _as_2d(b_row)
-    if a.shape != b.shape or a.shape[0] != 1:
-        raise ShapeError(f"ntk_base expects two equal-length vectors, got {a.shape} and {b.shape}")
-    k0 = _k0_factor(a.shape[1], spec) * float(a[0] @ b[0]) + spec.sigma_b_sq
-    nngp, ntk = (float(_kernel(a, b, replace(spec, family=f))[0, 0]) for f in ("nngp", "ntk"))
-    return k0, nngp, ntk
-
-
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel evaluations between the rows of ``a`` and the rows of ``b``."""
     a, b = _as_2d(a), _as_2d(b)
@@ -270,18 +258,6 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     return values
-
-
-def kernel_grad_b(a_row: np.ndarray, b_row: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gradient of k(a, b) with respect to ``b`` for a single pair."""
-    a, b = _as_2d(a_row), _as_2d(b_row)
-    if a.shape != b.shape or a.shape[0] != 1:
-        raise ShapeError(f"kernel_grad_b expects two equal-length vectors, got {a.shape} and {b.shape}")
-    _, u, w = _kernel(a, b, spec, grad=True)
-    grad = u[0, 0] * a[0] + w[0, 0] * b[0]
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("kernel gradient is non-finite")
-    return grad
 
 
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,

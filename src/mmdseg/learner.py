@@ -34,7 +34,6 @@ __all__ = [
     "uniform_spans",
     "init_uniform_means",
     "train_approximation",
-    "kernel_argmax_labels",
     "assign",
     "segment_video",
 ]
@@ -56,6 +55,10 @@ class TrainConfig:
             raise ValueError("m must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if not (0.0 < self.learning_rate < math.inf):  # also false for NaN
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -174,31 +177,24 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
                          weights=None if cfg.epochs == 0 else weights)
 
 
-def kernel_argmax_labels(frames: np.ndarray, prototypes: np.ndarray, spec: KernelSpec,
-                         weights=None) -> np.ndarray:
-    """Label each frame with the prototype of largest ``w_j k(frame, y_j)``.
+def assign(v: VideoFeatures, approx: Approximation) -> Segmentation:
+    """Label each frame by the prototype contributing most to the kernel mean
+    of the approximation at that frame, ``argmax_j w_j k(frame, y_j)``.
 
     Without weights this is the most kernel-similar prototype. A prototype of
     zero weight never wins, even where every kernel value is negative (the
     NTK can be). Ties break to the lowest index.
     """
-    sims = kernel_matrix(frames, prototypes, spec)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        sims = np.where(weights > 0.0, sims * weights, -np.inf)
-    return np.argmax(sims, axis=1).astype(np.int64)
-
-
-def assign(v: VideoFeatures, approx: Approximation) -> Segmentation:
-    """Label each frame by the prototype contributing most to the kernel mean
-    of the approximation at that frame, ``argmax_j w_j k(frame, y_j)``."""
     if v.frames.shape[1] != approx.prototypes.shape[1]:
         raise ShapeError(
             f"assign: features are {v.frames.shape[1]}-D but prototypes are "
             f"{approx.prototypes.shape[1]}-D"
         )
-    return Segmentation.from_labels(
-        kernel_argmax_labels(v.frames, approx.prototypes, approx.spec, approx.weights))
+    sims = kernel_matrix(v.frames, approx.prototypes, approx.spec)
+    if approx.weights is not None:
+        weights = np.asarray(approx.weights, dtype=np.float64)
+        sims = np.where(weights > 0.0, sims * weights, -np.inf)
+    return Segmentation.from_labels(np.argmax(sims, axis=1))
 
 
 @dataclass(frozen=True)

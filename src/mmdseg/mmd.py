@@ -3,7 +3,7 @@ set, its analytic gradient in the weighted rows, and the optimal weights.
 
 The estimator is the biased V-statistic
 
-    mmd2(x, y, w) = mean(Kxx) + w' Kyy w - 2 mean_i (Kxy w)_i
+    MMD^2(x, y, w) = mean(Kxx) + w' Kyy w - 2 mean_i (Kxy w)_i
 
 with ``w`` on the probability simplex (uniform ``1/m`` unless given). It
 includes self-pairs and is therefore nonnegative for PSD kernels.
@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import KernelSpec, _kernel, kernel_matrix
+from .kernels import KernelSpec, _kernel
 
-__all__ = ["mmd2", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
+__all__ = ["mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 
 
 def _as_pair(x, y, who: str):
@@ -42,17 +42,9 @@ def mmd2_from_terms(kxx_mean: float, kyy: np.ndarray, kxy_mean: np.ndarray,
     return float(kxx_mean + weights @ kyy @ weights - 2.0 * (weights @ kxy_mean))
 
 
-def mmd2(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights=None) -> float:
-    """Squared MMD between the rows of ``x`` and the ``weights``-weighted rows of ``y``."""
-    x, y = _as_pair(x, y, "mmd2")
-    return mmd2_from_terms(kernel_matrix(x, x, spec).mean(),
-                           kernel_matrix(y, y, spec),
-                           kernel_matrix(x, y, spec).mean(axis=0),
-                           _as_weights(weights, y.shape[0]))
-
-
 def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights=None) -> np.ndarray:
-    """Gradient of ``mmd2(x, y, weights)`` with respect to every row of ``y``.
+    """Gradient of the squared MMD between the rows of ``x`` and the
+    ``weights``-weighted rows of ``y`` with respect to every row of ``y``.
 
     Row r receives 2 w_r sum_a w_a grad_b k(y_a, y_r) (the self-pair counted
     once, its two symmetric contributions folded into the factor 2) minus

@@ -11,6 +11,7 @@ flattened to 2352-D rows and L2-normalized; ground-truth labels ride along.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,6 +133,8 @@ class SynthConfig:
             raise ValueError("seg_len_range must satisfy 1 <= lo <= hi")
         if not (1 <= self.max_repeats):
             raise ValueError("max_repeats must be at least 1")
+        if not (0.0 <= self.noise_std < math.inf):  # also false for NaN
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
 
 
 def _action_order(rng: np.random.Generator, cfg: SynthConfig) -> list[int]:

@@ -19,19 +19,17 @@ from mmdseg import (
     TrainConfig,
     evaluate,
     generate_moving5,
-    kernel_grad_b,
     kernel_matrix,
     make_rng,
-    mmd2,
-    ntk_base,
     segment_video,
 )
-from mmdseg.baselines import kernel_kmeans_assign, kmeans_centroids, kmeans_segmentation, uniform_segmentation
+from mmdseg.baselines import kmeans_centroids, kmeans_segmentation, uniform_segmentation
 from mmdseg.cli import draw_m, main
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError
 from mmdseg.evaluation import solve_assignment
-from mmdseg.kernels import resolve_spec
-from mmdseg.learner import PROFILES, Segmentation
+from mmdseg.kernels import _kernel, resolve_spec
+from mmdseg.learner import PROFILES, Approximation, Segmentation, assign
+from mmdseg.mmd import mmd2_from_terms
 from mmdseg.preprocess import l2_normalize_rows, save_features, VideoFeatures
 from mmdseg.synthgen import REPEAT_CLASS
 
@@ -61,8 +59,8 @@ def table_runs(moving5_test_split):
         runs["kmeans"].append(
             evaluate(kmeans_segmentation(v.frames, 5, make_rng(1000, i)), gt).mof)
         spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))[0]
-        runs["kernel_kmeans"].append(
-            evaluate(kernel_kmeans_assign(v.frames, centers, spec), gt).mof)
+        kernel_kmeans = Approximation(prototypes=centers, spec=spec, train_log=[])
+        runs["kernel_kmeans"].append(evaluate(assign(v, kernel_kmeans), gt).mof)
         _, seg0 = segment_video(v, TrainConfig(m=5, epochs=0, seed=i), PROFILES["synthetic"])
         runs["kernel_uniform"].append(evaluate(seg0, gt).mof)
         approx, seg = segment_video(v, TrainConfig(m=5, epochs=10, seed=i), PROFILES["synthetic"])
@@ -85,10 +83,11 @@ def test_criterion_1_kernel_gradient_oracle():
         spec = KernelSpec(family=family, lengthscale=2.0, alpha=1.3)
         for _ in range(50):
             a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-            grad = kernel_grad_b(a, b, spec)
+            _, u, w = _kernel(a[None], b[None], spec, grad=True)
+            grad = u[0, 0] * a + w[0, 0] * b
             fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec)[0, 0], b[None, :], 1e-4)[0]
             rel = float(np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12))
-            worst = max(worst, rel)
+            worst = max(worst, rel if np.isfinite(rel) else np.inf)  # a NaN gradient fails
     elapsed = time.time() - t0
     ok = worst < 1e-4 and elapsed < 10.0
     assert report(1, "kernel-gradient oracle", ok,
@@ -106,7 +105,7 @@ def test_criterion_2_ntk_closed_form_oracle():
     worst = 0.0
     for trial in range(20):
         a, b = rng.uniform(0, 1, 8), rng.uniform(0, 1, 8)
-        _, _, ntk = ntk_base(a, b, spec)
+        ntk = kernel_matrix(a, b, spec)[0, 0]
         emp = empirical_ntk(a, b, spec.sigma_w_sq, spec.sigma_b_sq, 2**14, 64, make_rng(203, trial))
         worst = max(worst, abs(emp - ntk) / abs(ntk))
     elapsed = time.time() - t0
@@ -117,6 +116,10 @@ def test_criterion_2_ntk_closed_form_oracle():
 
 
 def test_criterion_3_mmd2_correctness():
+    def mmd2(x, y, spec):  # the trainer's loss: mmd2_from_terms over kernel_matrix terms
+        return mmd2_from_terms(kernel_matrix(x, x, spec).mean(), kernel_matrix(y, y, spec),
+                               kernel_matrix(x, y, spec).mean(axis=0), np.full(len(y), 1 / len(y)))
+
     rng = make_rng(204)
     worst = 0.0
     min_val = np.inf

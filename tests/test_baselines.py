@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmdseg import KernelSpec, VideoFeatures, assign, make_rng, uniform_segmentation
-from mmdseg.baselines import _kmeans_pp_seed, kernel_kmeans_assign, kmeans_centroids, kmeans_segmentation
+from mmdseg.baselines import _kmeans_pp_seed, kmeans_centroids, kmeans_segmentation
 from mmdseg.learner import Approximation, uniform_spans
 
 from oracles import scalar_kernel_value
@@ -58,19 +58,14 @@ class TestKmeans:
 
 
 class TestKernelKmeansAssign:
-    def test_shares_code_path_with_learner_assign(self):
-        rng = make_rng(95)
-        frames = rng.normal(size=(12, 3))
-        protos = rng.normal(size=(3, 3))
-        spec = KernelSpec(family="gauss_ntk", lengthscale=2.0, alpha=1.2)
-        via_baseline = kernel_kmeans_assign(frames, protos, spec)
-        via_learner = assign(VideoFeatures(frames=frames, name="x"),
-                             Approximation(prototypes=protos, spec=spec, train_log=[]))
-        assert np.array_equal(via_baseline.frame_labels, via_learner.frame_labels)
+    """Kernel-space assignment of k-means centers: ``assign`` on an untrained
+    approximation whose prototypes are the centers, as ``segment
+    --baseline kernel-kmeans`` runs it."""
 
     def test_single_center(self):
         frames = make_rng(96).normal(size=(8, 2))
-        seg = kernel_kmeans_assign(frames, frames[:1], KernelSpec(lengthscale=1.0))
+        seg = assign(VideoFeatures(frames=frames, name="x"),
+                     Approximation(prototypes=frames[:1], spec=KernelSpec(lengthscale=1.0), train_log=[]))
         assert np.all(seg.frame_labels == 0)
 
     def test_matches_brute_force_argmax(self):
@@ -78,7 +73,8 @@ class TestKernelKmeansAssign:
         frames = rng.normal(size=(15, 4))
         centers = rng.normal(size=(4, 4))
         spec = KernelSpec(family="gauss_ntk", lengthscale=2.5, alpha=0.8)
-        seg = kernel_kmeans_assign(frames, centers, spec)
+        seg = assign(VideoFeatures(frames=frames, name="x"),
+                     Approximation(prototypes=centers, spec=spec, train_log=[]))
         for i in range(15):
             vals = [scalar_kernel_value(frames[i], centers[m], spec) for m in range(4)]
             best = max(range(4), key=lambda m: (vals[m], -m))

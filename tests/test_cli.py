@@ -91,15 +91,6 @@ class TestSegment:
         assert payload["frame_labels"] == [0, 0, 1, 1, 2, 2]
         validate_schema(payload, "segmentation.schema.json")
 
-    def test_no_train_equals_epochs_zero(self, tmp_path):
-        feat, labs = write_blob_video(tmp_path)
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["segment", "--features", str(feat), "--m", "2", "--no-train",
-                     "--seed", "5", "--out", str(a)]) == 0
-        assert main(["segment", "--features", str(feat), "--m", "2", "--epochs", "0",
-                     "--seed", "5", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_trained_run_with_labels_embeds_report(self, tmp_path):
         feat, labs = write_blob_video(tmp_path)
         out = tmp_path / "seg.json"
@@ -160,6 +151,21 @@ class TestSegment:
                      "--smooth", smooth, "--out", str(tmp_path / "o.json")]) == 3
         assert f"[ValueError]: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning_rate must be positive and finite, got nan"),
+        ("--lr", "inf", "learning_rate must be positive and finite, got inf"),
+        ("--lr", "-1", "learning_rate must be positive and finite, got -1.0"),
+        ("--lr", "0", "learning_rate must be positive and finite, got 0.0"),
+        ("--wd", "nan", "weight_decay must be nonnegative and finite, got nan"),
+        ("--wd", "inf", "weight_decay must be nonnegative and finite, got inf"),
+        ("--wd", "-0.5", "weight_decay must be nonnegative and finite, got -0.5"),
+    ])
+    def test_invalid_step_settings_exit_3(self, tmp_path, capsys, flag, value, message):
+        feat, _ = write_blob_video(tmp_path)
+        assert main(["segment", "--features", str(feat), "--m", "2", flag, value,
+                     "--out", str(tmp_path / "o.json")]) == 3
+        assert f"[ValueError]: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("baseline, flags, message", [
         ("uniform", ["--m", "2", "--epochs", "-1"], "epochs must be nonnegative"),
         ("kmeans", ["--m", "0"], "m must be at least 1"),
@@ -197,7 +203,7 @@ class TestGoldenLabels:
         return root / "test"
 
     @pytest.mark.parametrize("flags, runs, log_len", [
-        (["--no-train"], TRAINED_RUNS, 1),
+        (["--epochs", "0"], TRAINED_RUNS, 1),
         ([], TRAINED_RUNS, 11),
         (["--baseline", "uniform"], [(0, 25), (1, 24), (2, 24), (3, 24), (4, 24)], 0),
         (["--baseline", "kmeans"], KMEANS_RUNS, 0),
@@ -410,6 +416,15 @@ class TestRandm:
             rows = list(csv.DictReader(fh))
         assert int(rows[0]["m_used"]) == clamped
 
+    @pytest.mark.parametrize("mbar, mode", [("0", "synthetic"), ("-3", "real")])
+    def test_mbar_below_one_exit_3(self, tmp_path, capsys, mbar, mode):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_blob_video(data, name="v0")
+        assert main(["randm", "--features-dir", str(data), "--mbar", mbar, "--mode", mode,
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert f"[ValueError]: --mbar must be at least 1, got {mbar}" in capsys.readouterr().err
+
     def test_missing_labels_exit_3(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
@@ -440,3 +455,9 @@ class TestGenNoise:
         a = sorted((tmp_path / "clean").glob("*/*_features.txt"))[0].read_bytes()
         b = sorted((tmp_path / "noisy").glob("*/*_features.txt"))[0].read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_negative_or_non_finite_noise_exit_3(self, tmp_path, capsys, noise):
+        assert main(["gen", "--out", str(tmp_path / "d"), "--videos", "1", "--noise", noise]) == 3
+        assert "[ValueError]: noise_std must be nonnegative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmdseg import boundary_accuracy, evaluate, hungarian_match, make_rng
+from mmdseg import boundary_accuracy, evaluate, make_rng
 from mmdseg.errors import ConsistencyError, EmptyEvalError
 from mmdseg.evaluation import solve_assignment
 
@@ -29,32 +29,32 @@ class TestSolveAssignment:
 class TestHungarianMatch:
     def test_identity_on_equal_sequences(self):
         gt = np.array([0, 0, 1, 1, 2, 2])
-        assert hungarian_match(gt, gt) == {0: 0, 1: 1, 2: 2}
+        assert evaluate(gt, gt, boundary_tol=None).label_map == {0: 0, 1: 1, 2: 2}
 
     def test_recovers_label_permutation(self):
         rng = make_rng(102)
         gt = rng.integers(0, 4, size=60)
         perm = {0: 3, 1: 0, 2: 2, 3: 1}
         pred = np.array([perm[int(g)] for g in gt])
-        label_map = hungarian_match(pred, gt)
+        label_map = evaluate(pred, gt, boundary_tol=None).label_map
         assert label_map == {3: 0, 0: 1, 2: 2, 1: 3}
 
     def test_surplus_predicted_classes_map_to_none(self):
         pred = np.array([0, 1, 2, 2])
         gt = np.array([0, 0, 1, 1])
-        label_map = hungarian_match(pred, gt)
+        label_map = evaluate(pred, gt, boundary_tol=None).label_map
         assert sorted(label_map) == [0, 1, 2]
         assert sum(1 for v in label_map.values() if v is None) == 1
 
     def test_exclusion_drops_frames(self):
         pred = np.array([0, 0, 1, 1])
         gt = np.array([9, 9, 1, 1])
-        label_map = hungarian_match(pred, gt, exclude_gt=9)
+        label_map = evaluate(pred, gt, exclude_gt=9, boundary_tol=None).label_map
         assert label_map[1] == 1
 
     def test_empty_after_exclusion(self):
         with pytest.raises(EmptyEvalError):
-            hungarian_match([0, 0], [5, 5], exclude_gt=5)
+            evaluate([0, 0], [5, 5], exclude_gt=5, boundary_tol=None)
 
 
 class TestFrameMetrics:

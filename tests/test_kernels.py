@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -8,10 +9,8 @@ import pytest
 from mmdseg import (
     FAMILIES,
     KernelSpec,
-    kernel_grad_b,
     kernel_matrix,
     make_rng,
-    ntk_base,
     pairwise_sqdist,
     sphere_project,
 )
@@ -33,6 +32,18 @@ from oracles import (
 
 def spec_for(family, lengthscale=2.0, alpha=1.3, **kw):
     return KernelSpec(family=family, lengthscale=lengthscale, alpha=alpha, **kw)
+
+
+def nngp_ntk(a, b, spec):
+    """(NNGP, NTK) of one pair of rows, through ``kernel_matrix``."""
+    return tuple(float(kernel_matrix(a, b, replace(spec, family=f))[0, 0]) for f in ("nngp", "ntk"))
+
+
+def grad_b(a, b, spec):
+    """grad_b k(a_i, b_j) for every pair, shape (len(a), len(b), d), from the
+    coefficient matrices of ``_kernel``: U[i, j] a_i + W[i, j] b_j."""
+    _, u, w = kernels._kernel(a, b, spec, grad=True)
+    return u[:, :, None] * a[:, None, :] + w[:, :, None] * b[None, :, :]
 
 
 class TestKernelSpec:
@@ -212,18 +223,16 @@ class TestNtkBase:
         # theta = 0 forces sin = 0, cos = 1; clamping perturbs only at ~1e-7.
         spec = KernelSpec(family="ntk")
         x = make_rng(24).normal(size=4)
-        k0, nngp, ntk = ntk_base(x, x, spec)
+        nngp, ntk = nngp_ntk(x, x, spec)
         k0aa = spec.sigma_w_sq * float(x @ x) / 4 + spec.sigma_b_sq
-        assert k0 == pytest.approx(k0aa, rel=1e-12)
         assert nngp == pytest.approx(spec.sigma_w_sq * k0aa / 2 + spec.sigma_b_sq, rel=1e-6)
         assert ntk == pytest.approx(nngp + k0aa * spec.sigma_w_sq / 2, rel=1e-3)
 
     def test_orthogonal_unit_inputs_no_bias(self):
         spec = KernelSpec(family="ntk", sigma_b_sq=0.0)
         a = np.array([1.0, 0.0]); b = np.array([0.0, 1.0])
-        k0, nngp, ntk = ntk_base(a, b, spec)
+        nngp, ntk = nngp_ntk(a, b, spec)
         k0aa = spec.sigma_w_sq / 2
-        assert k0 == pytest.approx(0.0, abs=1e-12)
         assert nngp == pytest.approx(spec.sigma_w_sq * k0aa / (2 * math.pi), rel=1e-6)
         assert ntk == pytest.approx(nngp, rel=1e-6)  # K0(a,b) = 0 kills the dot term
 
@@ -233,7 +242,7 @@ class TestNtkBase:
         rng = make_rng(25)
         for trial in range(5):
             a = rng.uniform(-1, 1, 8); b = rng.uniform(-1, 1, 8)
-            _, _, ntk = ntk_base(a, b, spec)
+            ntk = kernel_matrix(a, b, spec)[0, 0]
             emp = empirical_ntk(a, b, spec.sigma_w_sq, spec.sigma_b_sq, 8192, 24, make_rng(40, trial))
             assert abs(emp - ntk) / abs(ntk) < 0.03
 
@@ -242,13 +251,13 @@ class TestNtkBase:
         rng = make_rng(26)
         for trial in range(3):
             a = rng.uniform(-1, 1, 8); b = rng.uniform(-1, 1, 8)
-            _, nngp, _ = ntk_base(a, b, spec)
+            nngp = kernel_matrix(a, b, spec)[0, 0]
             emp = empirical_nngp(a, b, spec.sigma_w_sq, spec.sigma_b_sq, 8192, 24, make_rng(41, trial))
             assert abs(emp - nngp) / abs(nngp) < 0.03
 
     def test_zero_dimension(self):
         with pytest.raises(ShapeError):
-            ntk_base(np.zeros(0), np.zeros(0), KernelSpec(family="ntk"))
+            kernel_matrix(np.zeros(0), np.zeros(0), KernelSpec(family="ntk"))
 
 
 def input_scale(x, family):
@@ -283,8 +292,8 @@ class TestNtkInputScale:
         for _ in range(5):
             a, b = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
             r = float(rng.uniform(0.2, 5.0))
-            scaled = ntk_base(a, b, KernelSpec(family="ntk", input_scale=r))
-            plain = ntk_base(r * a, r * b, KernelSpec(family="ntk"))
+            scaled = nngp_ntk(a, b, KernelSpec(family="ntk", input_scale=r))
+            plain = nngp_ntk(r * a, r * b, KernelSpec(family="ntk"))
             assert np.allclose(scaled, plain, rtol=1e-12, atol=0.0)
 
     def test_resolve_spec_freezes_scale_for_ntk_families(self):
@@ -374,8 +383,8 @@ class TestAlphaRescale:
         x = np.stack([a, b])
         sq = float(np.sum((a - b) ** 2))
         r = math.sqrt(3 / min(float(a @ a), float(b @ b)))
-        _, _, ntk_val = ntk_base(a, b, KernelSpec(family="ntk", sigma_w_sq=1.0, sigma_b_sq=0.0,
-                                                   input_scale=r))
+        ntk_val = kernel_matrix(a, b, KernelSpec(family="ntk", sigma_w_sq=1.0, sigma_b_sq=0.0,
+                                                 input_scale=r))[0, 0]
         sw2 = math.sqrt(math.exp(-1.0 / sq) / ntk_val)
         assert alpha(x, sigma_w_sq=sw2, sigma_b_sq=0.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -415,7 +424,7 @@ class TestKernelMatrix:
     def test_product_family_single_row(self):
         spec = spec_for("gauss_ntk")
         x = np.array([[0.5, -0.7, 0.2]])
-        _, _, ntk = ntk_base(x[0], x[0], spec)
+        ntk = kernel_matrix(x, x, replace(spec, family="ntk"))[0, 0]
         got = kernel_matrix(x, x, spec)[0, 0]
         assert got == pytest.approx(spec.alpha * ntk * 1.0, rel=1e-12)
 
@@ -452,44 +461,47 @@ class TestKernelMatrix:
 
 
 class TestKernelGradB:
+    """The coefficient matrices of ``_kernel(a, b, spec, grad=True)`` over
+    every pair of several rows, as ``mmd2_grad_y`` consumes them."""
+
+    @staticmethod
+    def assert_matches_finite_differences(a, b, spec, h):
+        grad = grad_b(a, b, spec)
+        for i, j in itertools.product(range(len(a)), range(len(b))):
+            fd = finite_diff_grad(lambda m: kernel_matrix(a[i], m, spec)[0, 0], b[j][None], h)[0]
+            denom = max(float(np.max(np.abs(fd))), 1e-12)
+            assert np.max(np.abs(grad[i, j] - fd)) / denom < 1e-4, (spec.family, i, j)
+
     def test_gauss_gradient_zero_at_coincidence(self):
-        x = np.array([0.3, -0.4, 1.0])
-        assert np.array_equal(kernel_grad_b(x, x.copy(), spec_for("gauss")), np.zeros(3))
+        x = np.array([[0.3, -0.4, 1.0], [2.0, 0.1, -0.5], [-1.2, 0.7, 0.0]])
+        grad = grad_b(x, x.copy(), spec_for("gauss"))
+        assert np.array_equal(grad[np.arange(3), np.arange(3)], np.zeros((3, 3)))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_finite_differences(self, family):
         rng = make_rng(35)
-        spec = spec_for(family)
-        for _ in range(10):
-            a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-            grad = kernel_grad_b(a, b, spec)
-            fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec)[0, 0], b[None, :], 1e-4)[0]
-            denom = max(float(np.max(np.abs(fd))), 1e-12)
-            assert np.max(np.abs(grad - fd)) / denom < 1e-4, family
+        for _ in range(3):
+            a, b = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (3, 6))
+            self.assert_matches_finite_differences(a, b, spec_for(family), 1e-4)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_finite_differences_with_input_scale(self, family):
         rng = make_rng(48)
-        spec = spec_for(family, input_scale=3.1)
-        for _ in range(10):
-            a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-            grad = kernel_grad_b(a, b, spec)
-            fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec)[0, 0], b[None, :], 1e-5)[0]
-            denom = max(float(np.max(np.abs(fd))), 1e-12)
-            assert np.max(np.abs(grad - fd)) / denom < 1e-4, family
+        for _ in range(3):
+            a, b = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (3, 6))
+            self.assert_matches_finite_differences(a, b, spec_for(family, input_scale=3.1), 1e-5)
 
     def test_product_rule_recomposition(self):
         rng = make_rng(36)
         spec = spec_for("gauss_ntk")
         for _ in range(5):
-            a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-            grad = kernel_grad_b(a, b, spec)
-            g_val = kernel_matrix(a[None], b[None], spec_for("gauss"))[0, 0]
-            n_val = kernel_matrix(a[None], b[None], spec_for("ntk"))[0, 0]
-            g_grad = kernel_grad_b(a, b, spec_for("gauss"))
-            n_grad = kernel_grad_b(a, b, spec_for("ntk"))
+            a, b = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, (3, 6))
+            g_val = kernel_matrix(a, b, spec_for("gauss"))[:, :, None]
+            n_val = kernel_matrix(a, b, spec_for("ntk"))[:, :, None]
+            g_grad = grad_b(a, b, spec_for("gauss"))
+            n_grad = grad_b(a, b, spec_for("ntk"))
             recomposed = spec.alpha * (n_grad * g_val + n_val * g_grad)
-            assert np.allclose(grad, recomposed, atol=1e-10)
+            assert np.allclose(grad_b(a, b, spec), recomposed, atol=1e-10)
 
 
 class TestKernelProperties:
@@ -501,9 +513,7 @@ class TestKernelProperties:
         k = kernel_matrix(a, b, spec)
         assert kernel_matrix(c * a, b, spec) == pytest.approx(k, rel=1e-12)
         assert kernel_matrix(a, c * b, spec) == pytest.approx(k, rel=1e-12)
-        for a_row, b_row in zip(a, b):
-            grad = kernel_grad_b(a_row, b_row, spec)
-            assert kernel_grad_b(a_row, c * b_row, spec) == pytest.approx(grad / c, rel=1e-10)
+        assert grad_b(a, c * b, spec) == pytest.approx(grad_b(a, b, spec) / c, rel=1e-10)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_symmetry(self, family):
@@ -538,7 +548,8 @@ class TestKernelProperties:
         spec = KernelSpec(family="ntk", sigma_b_sq=0.0)
         a = np.array([1.0, 0.0])
         angles = np.linspace(0.0, 2.40, 41)
-        vals = [ntk_base(a, np.array([math.cos(t), math.sin(t)]), spec)[2] for t in angles]
+        b = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        vals = kernel_matrix(a, b, spec)[0]
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_ntk_dips_for_near_antipodal_inputs(self):
@@ -547,6 +558,6 @@ class TestKernelProperties:
         spec = KernelSpec(family="ntk", sigma_b_sq=0.0)
         a = np.array([1.0, 0.0])
         def at(c):
-            return ntk_base(a, np.array([c, math.sqrt(1 - c * c)]), spec)[2]
+            return kernel_matrix(a, np.array([c, math.sqrt(1 - c * c)]), spec)[0, 0]
         assert at(-0.995) > at(-0.9) > at(-0.82)
         assert at(-0.82) < at(-0.5) < at(0.0)

@@ -14,7 +14,6 @@ from mmdseg import (
     kernel_matrix,
     l2_normalize_rows,
     make_rng,
-    mmd2,
     segment_video,
     temporal_smooth,
     train_approximation,
@@ -23,10 +22,18 @@ from mmdseg import (
 from mmdseg import kernels, learner
 from mmdseg.learner import PROFILES, Profile, preprocess_video
 from mmdseg.errors import DegenerateScaleError, ShapeError
-from mmdseg.mmd import simplex_weights
+from mmdseg.mmd import mmd2_from_terms, simplex_weights
 from mmdseg.synthgen import SynthConfig, generate_moving5, generate_video
 
 from oracles import scalar_kernel_value
+
+
+def mmd2(x, y, spec, weights=None):
+    """Squared MMD as the trainer builds its loss: ``mmd2_from_terms`` over
+    ``kernel_matrix`` terms, uniform weights unless given."""
+    weights = np.full(len(y), 1.0 / len(y)) if weights is None else weights
+    return mmd2_from_terms(kernel_matrix(x, x, spec).mean(), kernel_matrix(y, y, spec),
+                           kernel_matrix(x, y, spec).mean(axis=0), weights)
 
 
 def two_blob_video(segments=((0, 20), (1, 30), (0, 10)), noise=0.01, seed=80):
@@ -65,6 +72,20 @@ class TestInitUniformMeans:
         protos = init_uniform_means(frames, 3)
         expected = [frames[0:4].mean(axis=0), frames[4:7].mean(axis=0), frames[7:10].mean(axis=0)]
         assert np.array_equal(protos, np.stack(expected))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -1.0), ("learning_rate", 0.0),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-3),
+    ])
+    def test_rejects_bad_step_settings(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(m=2, **{field: value})
+
+    def test_accepts_zero_weight_decay(self):
+        assert TrainConfig(m=2, weight_decay=0.0).weight_decay == 0.0
 
 
 class TestTrainApproximation:
@@ -291,9 +312,8 @@ class TestSegmentVideo:
         cfg = TrainConfig(m=3, epochs=0, seed=2)
         approx, seg = segment_video(v, cfg, PROFILES["synthetic"])
         assert np.array_equal(approx.prototypes, init_uniform_means(v.frames, 3))
-        from mmdseg.learner import kernel_argmax_labels
         assert np.array_equal(seg.frame_labels,
-                              kernel_argmax_labels(v.frames, approx.prototypes, approx.spec))
+                              np.argmax(kernel_matrix(v.frames, approx.prototypes, approx.spec), axis=1))
 
     def test_pipeline_order_smooth_then_normalize(self):
         rng = make_rng(89)

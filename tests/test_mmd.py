@@ -10,19 +10,26 @@ from mmdseg import (
     VideoFeatures,
     kernel_matrix,
     make_rng,
-    mmd2,
     mmd2_grad_y,
     train_approximation,
 )
 from mmdseg import learner
 from mmdseg.errors import ShapeError
-from mmdseg.mmd import simplex_weights
+from mmdseg.mmd import mmd2_from_terms, simplex_weights
 
 from oracles import finite_diff_grad, mmd2_triple_loop, simplex_qp_by_supports
 
 
 def spec_for(family):
     return KernelSpec(family=family, lengthscale=2.0, alpha=1.3)
+
+
+def mmd2(x, y, spec, weights=None):
+    """Squared MMD as the trainer builds its loss: ``mmd2_from_terms`` over
+    ``kernel_matrix`` terms, uniform weights unless given."""
+    weights = np.full(len(y), 1.0 / len(y)) if weights is None else weights
+    return mmd2_from_terms(kernel_matrix(x, x, spec).mean(), kernel_matrix(y, y, spec),
+                           kernel_matrix(x, y, spec).mean(axis=0), weights)
 
 
 class TestMmd2:
@@ -61,7 +68,7 @@ class TestMmd2:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            mmd2(np.zeros((2, 3)), np.zeros((2, 4)), spec_for("gauss"))
+            mmd2_grad_y(np.zeros((2, 3)), np.zeros((2, 4)), spec_for("gauss"))
 
 
 class TestMmd2GradY:
@@ -139,7 +146,7 @@ class TestWeightedMmd2:
 
     def test_weight_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mmd2(np.zeros((2, 3)), np.zeros((2, 3)), spec_for("gauss"), np.ones(3) / 3)
+            mmd2_grad_y(np.zeros((2, 3)), np.zeros((2, 3)), spec_for("gauss"), np.ones(3) / 3)
 
 
 class TestSimplexWeights:

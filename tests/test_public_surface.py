@@ -1,0 +1,53 @@
+"""Every name a module lists in ``__all__`` is used by the package itself.
+
+The package ships only what its pipeline and its command line run, so each
+exported name must be referenced somewhere in ``src/mmdseg`` outside its
+own definition. A re-export in ``__init__.py`` is not a use, and neither is
+an import that nothing reads.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mmdseg"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _defines(stmt, name):
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return any(getattr(t, "id", None) == name for t in targets)
+
+
+def _used(trees, module, name):
+    for other, tree in trees.items():
+        if other == "__init__":
+            continue
+        for stmt in tree.body:
+            if other == module and _defines(stmt, name):
+                continue
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name):
+                    return True
+    return False
+
+
+def test_every_exported_name_is_used_in_the_package():
+    trees = _trees()
+    exports = [(module, name) for module, tree in trees.items() for name in _exported(tree)]
+    assert len(exports) >= 20, "no __all__ lists found"
+    unused = [f"{module}.{name}" for module, name in exports if not _used(trees, module, name)]
+    assert unused == []
