@@ -9,7 +9,7 @@ import numpy as np
 
 from mmdseg import (Approximation, KernelSpec, SynthConfig, TrainConfig, assign, evaluate, generate_moving5,
                     make_rng, segment_video)
-from mmdseg.baselines import kmeans_centroids, kmeans_segmentation, uniform_segmentation
+from mmdseg.baselines import kmeans_centroids, uniform_segmentation
 from mmdseg.kernels import resolve_spec
 from mmdseg.learner import PROFILES
 
@@ -24,10 +24,10 @@ rows = {name: [] for name in
 for i, v in enumerate(videos):
     gt = v.labels
     rows["uniform"].append(evaluate(uniform_segmentation(v.n_frames, M), gt))
-    centers, _ = kmeans_centroids(v.frames, M, make_rng(1000, i))
-    rows["k-means"].append(evaluate(kmeans_segmentation(v.frames, M, make_rng(1000, i)), gt))
+    centers, labels = kmeans_centroids(v.frames, M, make_rng(1000, i))
+    rows["k-means"].append(evaluate(labels, gt))
     spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))[0]
-    kernel_kmeans = Approximation(prototypes=centers, spec=spec, train_log=[])
+    kernel_kmeans = Approximation(prototypes=centers, spec=spec, train_log=[], weights=np.full(M, 1 / M))
     rows["kernel(k-means)"].append(evaluate(assign(v, kernel_kmeans), gt))
     _, seg0 = segment_video(v, TrainConfig(m=M, epochs=0, seed=i), PROFILES["synthetic"])
     rows["kernel(uniform)"].append(evaluate(seg0, gt))

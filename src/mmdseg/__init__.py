@@ -7,7 +7,7 @@ Gaussian kernel; frames are then labeled by their most similar synthetic
 frame.
 """
 
-from .baselines import kmeans_segmentation, uniform_segmentation
+from .baselines import kmeans_centroids, uniform_segmentation
 from .errors import (
     ConsistencyError,
     DegenerateInputError,

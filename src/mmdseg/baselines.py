@@ -1,6 +1,8 @@
 """Comparison baselines: uniform splitting and Lloyd k-means with k-means++
-seeding. Kernel-space assignment of k-means centroids is ``learner.assign``
-on an untrained approximation whose prototypes are the centroids.
+seeding. ``kmeans_centroids`` returns both the centroids and the labels of
+one run: the labels are the k-means segmentation, and kernel-space
+assignment of the centroids is ``learner.assign`` on an untrained
+approximation (uniform weights) whose prototypes are the centroids.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import numpy as np
 from .learner import Segmentation, uniform_spans
 from .numerics import pairwise_sqdist
 
-__all__ = ["uniform_segmentation", "kmeans_centroids", "kmeans_segmentation"]
+__all__ = ["uniform_segmentation", "kmeans_centroids"]
 
 # Most Lloyd iterations; the loop stops earlier once the labels are stable.
 KMEANS_ITERS = 100
@@ -79,10 +81,3 @@ def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator) -> tu
         for j in range(m):
             centroids[j] = frames[labels == j].mean(axis=0)
     return centroids, labels
-
-
-def kmeans_segmentation(frames: np.ndarray, m: int, rng: np.random.Generator) -> Segmentation:
-    """Frame labels from plain k-means in Euclidean space."""
-    _, labels = kmeans_centroids(frames, m, rng)
-    return Segmentation.from_labels(labels)
-

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import kmeans_centroids, kmeans_segmentation, uniform_segmentation
+from .baselines import kmeans_centroids, uniform_segmentation
 from .errors import ConsistencyError, NumericError, ParseError
 from .evaluation import aggregate_rows, evaluate
 from .kernels import FAMILIES, KernelSpec, resolve_spec
@@ -135,11 +135,12 @@ def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
     if method == "uniform":
         return uniform_segmentation(video.n_frames, cfg.m), []
     prepped = preprocess_video(video, cfg.m, profile)
+    centers, labels = kmeans_centroids(prepped.frames, cfg.m, make_rng(cfg.seed, 10))
     if method == "kmeans":
-        return kmeans_segmentation(prepped.frames, cfg.m, make_rng(cfg.seed, 10)), []
-    centers, _ = kmeans_centroids(prepped.frames, cfg.m, make_rng(cfg.seed, 10))
+        return Segmentation.from_labels(labels), []
     spec = resolve_spec(prepped.frames, cfg.kernel, make_rng(cfg.seed, 0))[0]
-    return assign(prepped, Approximation(prototypes=centers, spec=spec, train_log=[])), []
+    uniform = np.full(cfg.m, 1.0 / cfg.m)
+    return assign(prepped, Approximation(prototypes=centers, spec=spec, train_log=[], weights=uniform)), []
 
 
 def cmd_segment(args) -> int:

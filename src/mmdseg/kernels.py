@@ -35,8 +35,8 @@ Scales: ``resolve_spec`` fixes a video's lengthscale, input scale and alpha
 in one pass. It samples at most ``MAX_SCALE_FRAMES`` frames once and takes
 the pair statistics of both medians from one Gram product of the raw sample
 (the ``_sphere`` NTK reads its cosines, gram / (|a| |b|), from that same
-product). From the same pair values it returns the resolved kernel's mean
-over the sample, which the trainer's loss uses as mean(Kxx) on that sample.
+product). It returns the sample and, from the same pair values, the
+resolved kernel's mean over it, which the trainer's loss uses as mean(Kxx).
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -124,13 +124,23 @@ def _as_2d(x) -> np.ndarray:
     return x
 
 
-def _row_norms(sq: np.ndarray) -> np.ndarray:
-    """Row norms from the squared row norms ``sq``; rejects all-zero rows,
-    which have no direction."""
-    if np.any(sq == 0.0):
-        bad = int(np.flatnonzero(sq == 0.0)[0])
-        raise DegenerateInputError(f"cannot sphere-project all-zero row {bad}")
-    return np.sqrt(sq)
+def _extreme(sq: np.ndarray) -> np.ndarray:
+    """Rows whose squared norm ``sq`` is 0, subnormal, inf or NaN."""
+    return ~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf))
+
+
+def _row_norms(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Norms of the rows of ``x`` from their squared norms ``sq``; rejects
+    all-zero rows, which have no direction. A row whose ``sq`` left the
+    normal range is measured on ``x / max |x|`` and scaled back."""
+    norms = np.sqrt(sq)
+    extreme = np.flatnonzero(_extreme(sq))
+    if extreme.size:
+        peak = np.max(np.abs(x[extreme]), axis=1)
+        if np.any(peak == 0.0):
+            raise DegenerateInputError(f"cannot sphere-project all-zero row {extreme[peak == 0.0][0]}")
+        norms[extreme] = peak * np.linalg.norm(x[extreme] / peak[:, None], axis=1)
+    return norms
 
 
 def sphere_project(x: np.ndarray) -> np.ndarray:
@@ -143,13 +153,13 @@ def sphere_project(x: np.ndarray) -> np.ndarray:
     x = _as_2d(x)
     with np.errstate(over="ignore"):  # such rows are rescaled below
         sq = np.sum(x * x, axis=1)
-    extreme = ~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf))
+    extreme = _extreme(sq)
     if np.any(extreme):
         peak = np.max(np.abs(x[extreme]), axis=1, keepdims=True)
         x = x.copy()
         x[extreme] /= np.where(peak > 0.0, peak, 1.0)
         sq[extreme] = np.sum(x[extreme] * x[extreme], axis=1)
-    return x / _row_norms(sq)[:, None]
+    return x / _row_norms(x, sq)[:, None]
 
 
 def _gram(a: np.ndarray, b: np.ndarray):
@@ -224,7 +234,7 @@ def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
             f = 2.0 / spec.lengthscale**2
             return (kg, f * kg, -f * kg) if grad else kg
     if sphere:
-        na, nb = _row_norms(sq_a), _row_norms(sq_b)
+        na, nb = _row_norms(a, sq_a), _row_norms(b, sq_b)
         gram /= np.outer(na, nb)
         sq_a, sq_b = np.ones_like(na), np.ones_like(nb)
 
@@ -263,12 +273,12 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,
                  rng: np.random.Generator | None = None):
     """Freeze the data-derived parameters of ``spec`` for one video; returns
-    ``(spec, keep, kxx_mean)``.
+    ``(spec, sample, kxx_mean)``.
 
-    One pass over one sample: ``keep`` selects at most ``MAX_SCALE_FRAMES``
-    frames (``slice(None)`` when all fit, else a seeded draw kept in order).
-    One Gram product of their raw rows with the squared row norms gives the
-    pair distances of the distinct pairs. From these come
+    One pass over one sample: ``sample`` holds at most ``MAX_SCALE_FRAMES``
+    frames (a view of all frames when they fit, else a seeded draw kept in
+    order). One Gram product of its raw rows with the squared row norms
+    gives the pair distances of the distinct pairs. From these come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -281,7 +291,8 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
       exactly sqrt(d), and their NTK reads the cosines gram / (|x_i| |x_j|)
       of the same product, with self terms of exactly 1. Every frame, not
       only the sample, must then have a direction: an all-zero row raises
-      ``DegenerateInputError``;
+      ``DegenerateInputError`` (a row of tiny or huge entries is measured
+      exactly, as in ``kernel_matrix``);
     - for product families, alpha = med(gauss) / med(ntk) over the sampled
       pairs, which brings the two factors into the same range;
     - ``kxx_mean``, the resolved kernel's mean over all ordered pairs of the
@@ -325,8 +336,9 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
             raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
         resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
         if family in SPHERE_FAMILIES:  # the network sees unit rows: K0 reads the cosines
-            norms = _row_norms(sq_all)[keep]
-            gram /= np.outer(norms, norms)
+            norms = _row_norms(x, sq_all)[keep]
+            with np.errstate(invalid="ignore"):  # 0 / 0 where a tiny row's square underflows
+                gram /= np.outer(norms, norms)
             np.fill_diagonal(gram, 1.0)  # self terms of exactly s + sb2
         s = _k0_factor(d, resolved)
         k0_diag = s * np.diag(gram) + spec.sigma_b_sq
@@ -348,4 +360,4 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     kxx_mean = float((2.0 * np.sum(pairs) + np.sum(diag)) / m**2)
     if not math.isfinite(kxx_mean):
         raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
-    return resolved, keep, kxx_mean
+    return resolved, sample, kxx_mean

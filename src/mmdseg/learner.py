@@ -65,14 +65,14 @@ class TrainConfig:
 class Approximation:
     """Learned synthetic frames plus the frozen kernel and the loss trace.
 
-    ``weights`` are the prototypes' masses on the probability simplex;
-    ``None`` means uniform (1/M each), the untrained approximation.
+    ``weights`` are the prototypes' masses on the probability simplex, always
+    given: uniform (1/M each) for an untrained approximation.
     """
 
     prototypes: np.ndarray
     spec: KernelSpec
     train_log: list[float]
-    weights: np.ndarray | None = None
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,11 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     batch kept) on the batch's weighted MMD^2 gradient (plain gradient
     descent with decoupled weight decay), then refits the weights to their
     MMD^2 optimum for the new prototypes; training starts from the optimal
-    weights of the initial prototypes. The refit and the logged loss run
-    over the frame sample of ``resolve_spec`` (all frames, or a seeded draw
-    of ``MAX_SCALE_FRAMES`` on a longer video) with the mean(Kxx) it
-    returns. ``train_log[0]`` is the loss at initialization; one entry
+    weights of the initial prototypes (with no epochs the weights stay
+    uniform). The refit and the logged loss run over the frame sample that
+    ``resolve_spec`` returns (all frames, or a seeded draw of
+    ``MAX_SCALE_FRAMES`` on a longer video) with its mean(Kxx).
+    ``train_log[0]`` is the loss at initialization; one entry
     follows per epoch. Fully deterministic given the seed.
     """
     frames = v.frames
@@ -150,8 +151,7 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
 
     # Refit and loss run on the scale sample; each epoch's Kyy and Kxy give
     # both the logged loss and the refit weights.
-    spec, keep, kxx_mean = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
-    sample = frames[keep]
+    spec, sample, kxx_mean = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
     prototypes = init_uniform_means(frames, cfg.m)
     rng_batches = make_rng(cfg.seed, 1)
 
@@ -173,17 +173,17 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
         kyy, kxy_mean = loss_terms(prototypes)
         weights = simplex_weights(kyy, kxy_mean)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
-    return Approximation(prototypes=prototypes, spec=spec, train_log=train_log,
-                         weights=None if cfg.epochs == 0 else weights)
+    return Approximation(prototypes=prototypes, spec=spec, train_log=train_log, weights=weights)
 
 
 def assign(v: VideoFeatures, approx: Approximation) -> Segmentation:
     """Label each frame by the prototype contributing most to the kernel mean
     of the approximation at that frame, ``argmax_j w_j k(frame, y_j)``.
 
-    Without weights this is the most kernel-similar prototype. A prototype of
-    zero weight never wins, even where every kernel value is negative (the
-    NTK can be). Ties break to the lowest index.
+    Under uniform weights (an untrained approximation) this is the most
+    kernel-similar prototype. A prototype of zero weight never wins, even
+    where every kernel value is negative (the NTK can be). Ties break to the
+    lowest index.
     """
     if v.frames.shape[1] != approx.prototypes.shape[1]:
         raise ShapeError(
@@ -191,9 +191,7 @@ def assign(v: VideoFeatures, approx: Approximation) -> Segmentation:
             f"{approx.prototypes.shape[1]}-D"
         )
     sims = kernel_matrix(v.frames, approx.prototypes, approx.spec)
-    if approx.weights is not None:
-        weights = np.asarray(approx.weights, dtype=np.float64)
-        sims = np.where(weights > 0.0, sims * weights, -np.inf)
+    sims = np.where(approx.weights > 0.0, sims * approx.weights, -np.inf)
     return Segmentation.from_labels(np.argmax(sims, axis=1))
 
 

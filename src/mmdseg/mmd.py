@@ -5,8 +5,9 @@ The estimator is the biased V-statistic
 
     MMD^2(x, y, w) = mean(Kxx) + w' Kyy w - 2 mean_i (Kxy w)_i
 
-with ``w`` on the probability simplex (uniform ``1/m`` unless given). It
-includes self-pairs and is therefore nonnegative for PSD kernels.
+with ``w`` on the probability simplex, always given (an untrained
+approximation carries uniform ``1/m``). It includes self-pairs and is
+therefore nonnegative for PSD kernels.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ def _as_pair(x, y, who: str):
 
 
 def _as_weights(weights, m: int) -> np.ndarray:
-    if weights is None:
-        return np.full(m, 1.0 / m)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (m,):
         raise ShapeError(f"expected {m} weights, got shape {weights.shape}")
@@ -42,7 +41,7 @@ def mmd2_from_terms(kxx_mean: float, kyy: np.ndarray, kxy_mean: np.ndarray,
     return float(kxx_mean + weights @ kyy @ weights - 2.0 * (weights @ kxy_mean))
 
 
-def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights=None) -> np.ndarray:
+def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndarray) -> np.ndarray:
     """Gradient of the squared MMD between the rows of ``x`` and the
     ``weights``-weighted rows of ``y`` with respect to every row of ``y``.
 

@@ -25,7 +25,10 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     Extra integers select independent substreams, so the learner, the batcher
     and the synthetic generator can all draw from one user-facing seed without
     interfering: ``make_rng(7, 2)`` and ``make_rng(7, 3)`` never overlap.
+    The seed must be nonnegative.
     """
+    if int(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, stream)])))
 
 

@@ -129,6 +129,8 @@ class SynthConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
+        if self.n_videos < 1:
+            raise ValueError(f"n_videos must be at least 1, got {self.n_videos}")
         if not (1 <= self.seg_len_range[0] <= self.seg_len_range[1]):
             raise ValueError("seg_len_range must satisfy 1 <= lo <= hi")
         if not (1 <= self.max_repeats):

@@ -23,7 +23,7 @@ from mmdseg import (
     make_rng,
     segment_video,
 )
-from mmdseg.baselines import kmeans_centroids, kmeans_segmentation, uniform_segmentation
+from mmdseg.baselines import kmeans_centroids, uniform_segmentation
 from mmdseg.cli import draw_m, main
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError
 from mmdseg.evaluation import solve_assignment
@@ -55,11 +55,10 @@ def table_runs(moving5_test_split):
     for i, v in enumerate(moving5_test_split):
         gt = v.labels
         runs["uniform"].append(evaluate(uniform_segmentation(v.n_frames, 5), gt).mof)
-        centers, _ = kmeans_centroids(v.frames, 5, make_rng(1000, i))
-        runs["kmeans"].append(
-            evaluate(kmeans_segmentation(v.frames, 5, make_rng(1000, i)), gt).mof)
+        centers, labels = kmeans_centroids(v.frames, 5, make_rng(1000, i))
+        runs["kmeans"].append(evaluate(labels, gt).mof)
         spec = resolve_spec(v.frames, KernelSpec(family="gauss_ntk"), make_rng(i, 0))[0]
-        kernel_kmeans = Approximation(prototypes=centers, spec=spec, train_log=[])
+        kernel_kmeans = Approximation(prototypes=centers, spec=spec, train_log=[], weights=np.full(5, 1 / 5))
         runs["kernel_kmeans"].append(evaluate(assign(v, kernel_kmeans), gt).mof)
         _, seg0 = segment_video(v, TrainConfig(m=5, epochs=0, seed=i), PROFILES["synthetic"])
         runs["kernel_uniform"].append(evaluate(seg0, gt).mof)

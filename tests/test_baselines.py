@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmdseg import KernelSpec, VideoFeatures, assign, make_rng, uniform_segmentation
-from mmdseg.baselines import _kmeans_pp_seed, kmeans_centroids, kmeans_segmentation
+from mmdseg.baselines import _kmeans_pp_seed, kmeans_centroids
 from mmdseg.learner import Approximation, uniform_spans
 
 from oracles import scalar_kernel_value
@@ -29,10 +29,10 @@ class TestUniformSegmentation:
 class TestKmeans:
     def test_two_duplicate_groups(self):
         frames = np.array([[0.0, 0.0]] * 5 + [[5.0, 5.0]] * 5)
-        seg = kmeans_segmentation(frames, 2, make_rng(90))
-        assert len(set(seg.frame_labels[:5])) == 1
-        assert len(set(seg.frame_labels[5:])) == 1
-        assert seg.frame_labels[0] != seg.frame_labels[5]
+        _, labels = kmeans_centroids(frames, 2, make_rng(90))
+        assert len(set(labels[:5])) == 1
+        assert len(set(labels[5:])) == 1
+        assert labels[0] != labels[5]
 
     def test_m_equals_n(self):
         frames = make_rng(91).normal(size=(6, 3))
@@ -52,9 +52,9 @@ class TestKmeans:
 
     def test_deterministic(self):
         frames = make_rng(94).normal(size=(25, 3))
-        a = kmeans_segmentation(frames, 4, make_rng(7))
-        b = kmeans_segmentation(frames, 4, make_rng(7))
-        assert np.array_equal(a.frame_labels, b.frame_labels)
+        a = kmeans_centroids(frames, 4, make_rng(7))
+        b = kmeans_centroids(frames, 4, make_rng(7))
+        assert np.array_equal(a[1], b[1])
 
 
 class TestKernelKmeansAssign:
@@ -65,7 +65,8 @@ class TestKernelKmeansAssign:
     def test_single_center(self):
         frames = make_rng(96).normal(size=(8, 2))
         seg = assign(VideoFeatures(frames=frames, name="x"),
-                     Approximation(prototypes=frames[:1], spec=KernelSpec(lengthscale=1.0), train_log=[]))
+                     Approximation(prototypes=frames[:1], spec=KernelSpec(lengthscale=1.0), train_log=[],
+                                   weights=np.ones(1)))
         assert np.all(seg.frame_labels == 0)
 
     def test_matches_brute_force_argmax(self):
@@ -74,7 +75,7 @@ class TestKernelKmeansAssign:
         centers = rng.normal(size=(4, 4))
         spec = KernelSpec(family="gauss_ntk", lengthscale=2.5, alpha=0.8)
         seg = assign(VideoFeatures(frames=frames, name="x"),
-                     Approximation(prototypes=centers, spec=spec, train_log=[]))
+                     Approximation(prototypes=centers, spec=spec, train_log=[], weights=np.full(4, 1 / 4)))
         for i in range(15):
             vals = [scalar_kernel_value(frames[i], centers[m], spec) for m in range(4)]
             best = max(range(4), key=lambda m: (vals[m], -m))

@@ -79,6 +79,21 @@ class TestGen:
         blocker.write_text("x")
         assert main(["gen", "--out", str(blocker / "sub"), "--videos", "1"]) == 2
 
+    @pytest.mark.parametrize("videos", ["0", "-2"])
+    def test_videos_below_one_exit_3(self, tmp_path, capsys, videos):
+        assert main(["gen", "--out", str(tmp_path / "d"), "--videos", videos]) == 3
+        assert f"[ValueError]: n_videos must be at least 1, got {videos}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "segment", "randm"])
+    def test_negative_seed_exit_3(self, tmp_path, capsys, command):
+        feat, _ = write_blob_video(tmp_path)
+        flags = {"gen": ["--out", str(tmp_path / "d"), "--videos", "1"],
+                 "segment": ["--features", str(feat), "--m", "2", "--out", str(tmp_path / "o.json")],
+                 "randm": ["--features-dir", str(tmp_path), "--mbar", "2", "--out", str(tmp_path / "o.csv")]}
+        assert main([command, *flags[command], "--seed", "-1"]) == 3
+        assert "[ValueError]: seed must be nonnegative, got -1" in capsys.readouterr().err
+
 
 class TestSegment:
     def test_uniform_baseline_labels(self, tmp_path):

@@ -88,6 +88,16 @@ def lengthscale(x):
     return resolve_spec(x, KernelSpec(family="gauss"))[0].lengthscale
 
 
+def sample_rows(frames, sample):
+    """Indices of the frames that ``sample`` holds, matched in order."""
+    rows, start = [], 0
+    for row in sample:
+        start += int(np.flatnonzero((frames[start:] == row).all(axis=1))[0])
+        rows.append(start)
+        start += 1
+    return np.array(rows)
+
+
 def brute_force_scales(x, family):
     """(lengthscale, input_scale, alpha) of ``resolve_spec`` on unsampled rows,
     by enumeration over every distinct pair; alpha is the error message
@@ -207,15 +217,15 @@ class TestResolveSpec:
         # Unsampled (40 frames) and sampled (80 frames, cap 30): the mean over
         # every ordered pair of the returned sample, diagonal included.
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
-        keeps = []
+        samples = []
         for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30)):
             monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
-            spec, keep, kxx_mean = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
-            expected = kernel_matrix(f[keep], f[keep], spec).mean()
+            spec, sample, kxx_mean = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
+            expected = kernel_matrix(sample, sample, spec).mean()
             assert kxx_mean == pytest.approx(expected, rel=1e-12), len(f)
-            keeps.append(keep)
-        assert keeps[0] == slice(None)
-        assert np.array_equal(np.unique(keeps[1]), keeps[1]) and len(keeps[1]) == 30
+            samples.append(sample)
+        assert np.shares_memory(samples[0], frames) and np.array_equal(samples[0], frames[:40])
+        assert len(sample_rows(frames[:80], samples[1])) == 30
 
 
 class TestNtkBase:
@@ -349,6 +359,29 @@ class TestSphereProject:
         x = make_rng(30).normal(size=(40, 7)) * np.logspace(-150, 150, 40)[:, None]
         assert np.array_equal(sphere_project(x), x / np.sqrt(np.sum(x * x, axis=1))[:, None])
 
+    @pytest.mark.parametrize("row, unit", [
+        ([1e200, 1e200], [1.0, 1.0]),  # sum(x*x) overflows to inf
+        ([1e-160, 1e-160], [1.0, 1.0]),  # subnormal
+        ([1e-170, 0.0], [1.0, 0.0]),  # underflows to 0
+    ])
+    def test_sphere_ntk_measures_rows_whose_squared_norm_leaves_the_normal_range(self, row, unit):
+        spec = KernelSpec(family="ntk_sphere")
+        other = np.array([[1.0, 1.0]])
+        expected = kernel_matrix([unit], other, spec)
+        with np.errstate(over="ignore"):  # the squared norm of the huge row overflows
+            got = kernel_matrix([row], other, spec), kernel_matrix(other, [row], spec).T
+        for values in got:
+            assert np.allclose(values, expected, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("family", SPHERE_FAMILIES)
+    def test_sphere_families_accept_a_row_whose_squared_norm_underflows(self, family):
+        frames = make_rng(31).normal(size=(12, 2))
+        frames[4] = [1e-170, 0.0]
+        spec = resolve_spec(frames, KernelSpec(family=family))[0]
+        others = np.delete(frames, 4, axis=0)
+        assert np.all(np.isfinite(kernel_matrix(frames[4], others, spec)))
+        assert np.all(np.isfinite(kernel_matrix(others, frames[4], spec)))
+
     @pytest.mark.parametrize("family", SPHERE_FAMILIES)
     def test_sphere_families_name_the_zero_row(self, family, monkeypatch):
         rng = make_rng(29)
@@ -359,12 +392,12 @@ class TestSphereProject:
             with pytest.raises(DegenerateInputError, match="all-zero row 3$"):
                 kernel_matrix(a, b, spec)
         with pytest.raises(DegenerateInputError, match="all-zero row 3$"):
-            mmd2_grad_y(x, zero, spec)
+            mmd2_grad_y(x, zero, spec, np.full(5, 1 / 5))
         # A zero frame outside the scale sample still has no direction.
         monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 8)
         frames = rng.normal(size=(30, 4))
-        keep = resolve_spec(frames, KernelSpec(family=family))[1]
-        k = int(np.setdiff1d(np.arange(30), keep)[0])
+        sample = resolve_spec(frames, KernelSpec(family=family))[1]
+        k = int(np.setdiff1d(np.arange(30), sample_rows(frames, sample))[0])
         frames[k] = 0.0
         with pytest.raises(DegenerateInputError, match=f"all-zero row {k}$"):
             resolve_spec(frames, KernelSpec(family=family))

@@ -154,7 +154,8 @@ class TestTrainApproximation:
 
     def test_untrained_approximation_has_uniform_weights(self):
         v, _, _ = two_blob_video()
-        assert train_approximation(v, TrainConfig(m=3, epochs=0, seed=1)).weights is None
+        weights = train_approximation(v, TrainConfig(m=3, epochs=0, seed=1)).weights
+        assert np.array_equal(weights, np.full(3, 1 / 3))
 
     def test_weights_on_simplex_and_logged(self):
         v, _, _ = two_blob_video()
@@ -172,12 +173,12 @@ class TestTrainApproximation:
         v = VideoFeatures(frames=f, name="sampled")
         for s in (0, 1):
             cfg = TrainConfig(m=3, epochs=0, seed=s)
-            spec, keep, _ = kernels.resolve_spec(f, cfg.kernel, make_rng(s, 0))
-            assert len(keep) == 30
+            spec, sample, _ = kernels.resolve_spec(f, cfg.kernel, make_rng(s, 0))
+            assert len(sample) == 30
             log = train_approximation(v, cfg).train_log
-            assert log[0] == pytest.approx(mmd2(f[keep], init_uniform_means(f, 3), spec), rel=1e-9)
+            assert log[0] == pytest.approx(mmd2(sample, init_uniform_means(f, 3), spec), rel=1e-9)
             approx = train_approximation(v, replace(cfg, epochs=2))
-            expected = mmd2(f[keep], approx.prototypes, spec, approx.weights)
+            expected = mmd2(sample, approx.prototypes, spec, approx.weights)
             assert approx.train_log[-1] == pytest.approx(expected, rel=1e-9)
 
     def test_surplus_prototype_loses_its_mass(self):
@@ -196,7 +197,7 @@ class TestAssign:
         protos = rng.normal(size=(4, 3)) + np.eye(4, 3) * 3.0
         spec = KernelSpec(family="gauss_ntk", lengthscale=2.0, alpha=1.0)
         from mmdseg.learner import Approximation
-        approx = Approximation(prototypes=protos, spec=spec, train_log=[])
+        approx = Approximation(prototypes=protos, spec=spec, train_log=[], weights=np.full(4, 1 / 4))
         seg = assign(VideoFeatures(frames=protos.copy(), name="p"), approx)
         # sanity of the instance: verify via direct kernel evaluation
         for i in range(4):
@@ -216,7 +217,7 @@ class TestAssign:
         spec = KernelSpec(family="gauss_ntk", lengthscale=3.0, alpha=1.7)
         from mmdseg.learner import Approximation
         seg = assign(VideoFeatures(frames=frames, name="r"),
-                     Approximation(prototypes=protos, spec=spec, train_log=[]))
+                     Approximation(prototypes=protos, spec=spec, train_log=[], weights=np.full(3, 1 / 3)))
         for i in range(20):
             best, best_val = 0, -np.inf
             for m in range(3):
@@ -256,18 +257,20 @@ class TestAssign:
         protos = rng.normal(size=(4, 3))
         spec = KernelSpec(family="gauss_ntk", lengthscale=2.0)
         from mmdseg.learner import Approximation
+        uniform = np.full(4, 1 / 4)
         base = assign(VideoFeatures(frames=frames, name="x"),
-                      Approximation(prototypes=protos, spec=spec, train_log=[]))
+                      Approximation(prototypes=protos, spec=spec, train_log=[], weights=uniform))
         perm = np.array([2, 0, 3, 1])
         permuted = assign(VideoFeatures(frames=frames, name="x"),
-                          Approximation(prototypes=protos[perm], spec=spec, train_log=[]))
+                          Approximation(prototypes=protos[perm], spec=spec, train_log=[], weights=uniform))
         # prototype j moves to position argwhere(perm == j)
         relabel = np.argsort(perm)
         assert np.array_equal(permuted.frame_labels, relabel[base.frame_labels])
 
     def test_dimension_mismatch(self):
         from mmdseg.learner import Approximation
-        approx = Approximation(prototypes=np.zeros((2, 3)), spec=KernelSpec(), train_log=[])
+        approx = Approximation(prototypes=np.zeros((2, 3)), spec=KernelSpec(), train_log=[],
+                               weights=np.full(2, 1 / 2))
         with pytest.raises(ShapeError):
             assign(VideoFeatures(frames=np.zeros((4, 5)), name="bad"), approx)
 

@@ -68,13 +68,13 @@ class TestMmd2:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            mmd2_grad_y(np.zeros((2, 3)), np.zeros((2, 4)), spec_for("gauss"))
+            mmd2_grad_y(np.zeros((2, 3)), np.zeros((2, 4)), spec_for("gauss"), np.full(2, 1 / 2))
 
 
 class TestMmd2GradY:
     def test_stationary_at_identical_samples_gauss(self):
         x = make_rng(54).normal(size=(5, 3))
-        grad = mmd2_grad_y(x, x.copy(), spec_for("gauss"))
+        grad = mmd2_grad_y(x, x.copy(), spec_for("gauss"), np.full(5, 1 / 5))
         assert np.max(np.abs(grad)) < 1e-12
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -82,7 +82,7 @@ class TestMmd2GradY:
         rng = make_rng(55)
         spec = spec_for(family)
         x, y = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (3, 2))
-        grad = mmd2_grad_y(x, y, spec)
+        grad = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3))
         fd = finite_diff_grad(lambda m: mmd2(x, m, spec), y, 1e-4)
         assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-4
 
@@ -91,8 +91,8 @@ class TestMmd2GradY:
         x, y = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
         for family in FAMILIES:
             spec = spec_for(family)
-            g1 = mmd2_grad_y(x, y, spec)
-            g2 = mmd2_grad_y(np.repeat(x, 2, axis=0), y, spec)
+            g1 = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3))
+            g2 = mmd2_grad_y(np.repeat(x, 2, axis=0), y, spec, np.full(3, 1 / 3))
             assert np.allclose(g1, g2, atol=1e-10), family
 
     def test_descent_direction(self):
@@ -101,7 +101,7 @@ class TestMmd2GradY:
             spec = spec_for(family)
             x, y = rng.normal(size=(6, 3)), rng.normal(size=(3, 3))
             base = mmd2(x, y, spec)
-            grad = mmd2_grad_y(x, y, spec)
+            grad = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3))
             if np.max(np.abs(grad)) < 1e-12:
                 continue
             for step in (1e-4, 1e-3):
@@ -264,7 +264,7 @@ class TestConvergence:
         spec = KernelSpec(family="gauss", lengthscale=1.5)
         y = np.array([[0.5, 0.5], [-0.5, -0.5]])
         for _ in range(200):
-            y = y - 1.0 * mmd2_grad_y(x, y, spec)
+            y = y - 1.0 * mmd2_grad_y(x, y, spec, np.full(2, 1 / 2))
         dists = np.linalg.norm(y[:, None, :] - np.stack([mean_a, mean_b])[None, :, :], axis=2)
         closest = dists.min(axis=1)
         assert np.all(closest < 0.1)

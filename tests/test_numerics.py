@@ -7,6 +7,12 @@ from mmdseg.errors import NumericError, ShapeError
 from oracles import finite_diff_grad, naive_pairwise_sqdist
 
 
+class TestMakeRng:
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            make_rng(-1)
+
+
 class TestPairwiseSqdist:
     def test_zero_distance_to_self(self):
         assert pairwise_sqdist(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0]])) == np.array([[0.0]])
