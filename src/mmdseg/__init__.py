@@ -24,6 +24,7 @@ from .kernels import (
     KernelSpec,
     kernel_matrix,
     resolve_spec,
+    row_stats,
     sphere_project,
 )
 from .learner import (

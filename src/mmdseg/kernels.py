@@ -46,11 +46,17 @@ Gradients with respect to the second argument decompose as
 
     grad_b k(a, b) = U(a, b) * a + W(a, b) * b
 
-for scalar coefficient fields U, W. Every family goes through ``_kernel``,
-which forms the Gram product and squared row norms of its two row sets once
-(the ``_sphere`` NTK divides the product by the row norms to get its
-cosines) and returns, in one pass, the kernel values and, when asked, the
-full coefficient matrices, so that MMD gradients reduce to matrix products.
+for scalar coefficient fields U, W. Every family goes through one
+elementwise chain, ``_kernel_core``. It reads a Gram product and the
+``row_stats`` of both row sets (squared row norms, and for the ``_sphere``
+NTK the row norms it divides the product by to get its cosines) and returns,
+in one pass, the kernel values and, when asked, the full coefficient
+matrices, so that MMD gradients reduce to matrix products. ``_kernel(a, b)``
+forms one Gram product and both row sets' stats per call. The trainer's
+step goes through ``_stacked_kernel`` instead: one pass over the Gram
+products ``y @ y.T`` and ``x @ y.T`` stacked into an (m + n) x m array gives
+Kyy and Kxy together, with the batch's row stats taken from ones the trainer
+formed once per video.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ __all__ = [
     "sphere_project",
     "kernel_matrix",
     "resolve_spec",
+    "row_stats",
 ]
 
 FAMILIES = ("gauss", "nngp", "ntk", "ntk_sphere", "gauss_ntk", "gauss_ntk_sphere")
@@ -162,11 +169,15 @@ def sphere_project(x: np.ndarray) -> np.ndarray:
     return x / _row_norms(x, sq)[:, None]
 
 
-def _gram(a: np.ndarray, b: np.ndarray):
-    """Gram product ``a @ b.T`` and the squared row norms of ``a`` and ``b``
-    (computed once when ``b is a``)."""
-    sq_a = np.sum(a * a, axis=1)
-    return a @ b.T, sq_a, sq_a if b is a else np.sum(b * b, axis=1)
+def row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The row quantities of ``x`` that the kernel reads besides the Gram
+    product: a (1, n) array of the squared row norms, with the row norms as
+    a second row for the ``_sphere`` families. A caller that meets the same
+    rows again (the trainer's frames) forms it once and takes its columns."""
+    sq = np.sum(x * x, axis=1)
+    if spec.family not in SPHERE_FAMILIES:
+        return sq[None, :]
+    return np.stack((sq, _row_norms(x, sq)))
 
 
 def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -216,29 +227,33 @@ def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: 
     return values, u + ntk_dot * s + k0_ab * u_dot, w + k0_ab * w_dot
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
-    """Kernel values between the rows of ``a`` and ``b``; with ``grad`` the
-    tuple (values, U, W), grad_b k(a_i, b_j) = U[i, j] a_i + W[i, j] b_j.
+def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: int,
+                 n_self: int, spec: KernelSpec, grad: bool):
+    """The kernel's one elementwise chain: values (and with ``grad`` the
+    coefficients U, W) from the Gram product ``gram = a @ b.T``, which it
+    consumes, and the ``row_stats`` of ``a`` and ``b`` for rows of dimension
+    ``d``. The leading ``n_self`` rows of ``a`` are the rows of ``b``, one or
+    more times over, so their pair distances have an exactly zero diagonal.
 
-    One Gram product per call. The Gaussian and the raw NTK read it as is;
-    the ``_sphere`` NTK sees the rows divided by their norms, so it reads the
-    cosines ``gram / outer(|a|, |b|)``, with squared norms of exactly 1.
+    The Gaussian and the raw NTK read the product as is; the ``_sphere`` NTK
+    sees the rows divided by their norms, so it reads the cosines
+    ``gram / outer(|a|, |b|)``, with squared norms of exactly 1.
     """
     family = spec.family
     sphere = family in SPHERE_FAMILIES
     kg = None
-    gram, sq_a, sq_b = _gram(a, b)
+    sq_a, sq_b = rows_a[0], rows_b[0]
     if family in GAUSS_FAMILIES:
-        kg = _gauss(sqdist_from_gram(a, b, gram, sq_a, sq_b), spec)
+        kg = _gauss(sqdist_from_gram(gram, sq_a, sq_b, n_self), spec)
         if family == "gauss":
             f = 2.0 / spec.lengthscale**2
             return (kg, f * kg, -f * kg) if grad else kg
     if sphere:
-        na, nb = _row_norms(a, sq_a), _row_norms(b, sq_b)
+        na, nb = rows_a[1], rows_b[1]
         gram /= np.outer(na, nb)
         sq_a, sq_b = np.ones_like(na), np.ones_like(nb)
 
-    s = _k0_factor(a.shape[1], spec)
+    s = _k0_factor(d, spec)
     k0_aa = s * sq_a + spec.sigma_b_sq
     p = np.sqrt(np.outer(k0_aa, s * sq_b + spec.sigma_b_sq))
     # K0 takes over the Gram buffer unless the sphere gradient still needs the cosines.
@@ -257,6 +272,38 @@ def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
     ug, wg = f * kg, -f * kg
     return (spec.alpha * kn * kg, spec.alpha * (kg * un + kn * ug),
             spec.alpha * (kg * wn + kn * wg))
+
+
+def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
+    """Kernel values between the rows of ``a`` and ``b``; with ``grad`` the
+    tuple (values, U, W), grad_b k(a_i, b_j) = U[i, j] a_i + W[i, j] b_j.
+    One Gram product and one pass of ``_kernel_core`` per call."""
+    rows_a = row_stats(a, spec)
+    rows_b = rows_a if b is a else row_stats(b, spec)
+    same = a is b or np.array_equal(a, b)
+    return _kernel_core(a @ b.T, rows_a, rows_b, a.shape[1], b.shape[0] if same else 0, spec, grad)
+
+
+def _stacked_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec, x_rows: np.ndarray,
+                   grad: bool = False):
+    """``_kernel`` of the rows of ``y`` stacked above those of ``x``, against
+    ``y``: rows ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(y)``.
+
+    One pass of ``_kernel_core`` over the stacked Gram products ``y @ y.T``
+    and ``x @ y.T``, an (m + n) x m array; ``x`` itself is never copied.
+    ``x_rows`` is ``row_stats(x, spec)``, which the caller may hold already.
+    Every value equals that of the two separate ``_kernel`` calls: Kyy's
+    diagonal distances are zero, and Kxy's when ``x`` equals ``y``.
+    """
+    m, n = y.shape[0], x.shape[0]
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    k = 2 if spec.family in SPHERE_FAMILIES else 1
+    if x_rows.shape != (k, n):
+        raise ShapeError(f"expected row stats of shape {(k, n)} for {n} rows, got {x_rows.shape}")
+    rows_y = row_stats(y, spec)
+    n_self = 2 * m if np.array_equal(x, y) else m
+    return _kernel_core(np.concatenate((y @ y.T, x @ y.T)), np.concatenate((rows_y, x_rows), axis=1),
+                        rows_y, y.shape[1], n_self, spec, grad)
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import KernelSpec, kernel_matrix, resolve_spec
-from .mmd import mmd2_from_terms, mmd2_grad_y, simplex_weights
+from .kernels import KernelSpec, kernel_matrix, resolve_spec, row_stats
+from .mmd import mmd2_from_terms, mmd2_grad_y, mmd2_terms, simplex_weights
 from .numerics import make_rng
 from .preprocess import VideoFeatures, l2_normalize_rows, temporal_smooth
 
@@ -143,8 +143,13 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     ``MAX_SCALE_FRAMES`` on a longer video) with its mean(Kxx).
     ``train_log[0]`` is the loss at initialization; one entry
     follows per epoch. Fully deterministic given the seed.
+
+    Each value is formed as rarely as it changes: the ``row_stats`` of the
+    frames and of the sample once per video (each batch takes its columns),
+    and one stacked kernel pass, Kyy above Kxy, per gradient step and per
+    loss evaluation.
     """
-    frames = v.frames
+    frames = np.asarray(v.frames, dtype=np.float64)
     n = frames.shape[0]
     if cfg.m > n:
         raise ValueError(f"m = {cfg.m} exceeds the {n} available frames")
@@ -154,12 +159,12 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     spec, sample, kxx_mean = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
     prototypes = init_uniform_means(frames, cfg.m)
     rng_batches = make_rng(cfg.seed, 1)
-
-    def loss_terms(p):
-        return kernel_matrix(p, p, spec), kernel_matrix(sample, p, spec).mean(axis=0)
+    # Row norms once per video; a sample of every frame is the frames themselves.
+    frame_rows = row_stats(frames, spec)
+    sample_rows = frame_rows if sample.shape[0] == n else row_stats(sample, spec)
 
     weights = np.full(cfg.m, 1.0 / cfg.m)
-    kyy, kxy_mean = loss_terms(prototypes)
+    kyy, kxy_mean = mmd2_terms(sample, prototypes, spec, sample_rows)
     train_log = [mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights)]
     if cfg.epochs > 0:
         weights = simplex_weights(kyy, kxy_mean)
@@ -167,10 +172,11 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     for _ in range(cfg.epochs):
         order = rng_batches.permutation(n)
         for lo in range(0, n, size):
-            grad = mmd2_grad_y(frames[order[lo:lo + size]], prototypes, spec, weights)
+            batch = order[lo:lo + size]
+            grad = mmd2_grad_y(frames[batch], prototypes, spec, weights, frame_rows[:, batch])
             prototypes = (prototypes - cfg.learning_rate * grad
                           - cfg.learning_rate * cfg.weight_decay * prototypes)
-        kyy, kxy_mean = loss_terms(prototypes)
+        kyy, kxy_mean = mmd2_terms(sample, prototypes, spec, sample_rows)
         weights = simplex_weights(kyy, kxy_mean)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
     return Approximation(prototypes=prototypes, spec=spec, train_log=train_log, weights=weights)

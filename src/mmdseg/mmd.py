@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
-from .kernels import KernelSpec, _kernel
+from .errors import NumericError, ShapeError
+from .kernels import KernelSpec, _stacked_kernel
 
-__all__ = ["mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
+__all__ = ["mmd2_terms", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 
 
 def _as_pair(x, y, who: str):
@@ -35,30 +35,46 @@ def _as_weights(weights, m: int) -> np.ndarray:
     return weights
 
 
+def mmd2_terms(x: np.ndarray, y: np.ndarray, spec: KernelSpec,
+               x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kyy and the column means of Kxy, from one stacked kernel pass over
+    ``[y; x]`` against ``y``; ``x_rows`` is ``row_stats(x, spec)``."""
+    x, y = _as_pair(x, y, "mmd2_terms")
+    k = _stacked_kernel(x, y, spec, x_rows)
+    if not np.all(np.isfinite(k)):
+        raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
+    m = y.shape[0]
+    return k[:m], k[m:].mean(axis=0)
+
+
 def mmd2_from_terms(kxx_mean: float, kyy: np.ndarray, kxy_mean: np.ndarray,
                     weights: np.ndarray) -> float:
     """Squared MMD from its pieces: mean(Kxx), Kyy and the column means of Kxy."""
     return float(kxx_mean + weights @ kyy @ weights - 2.0 * (weights @ kxy_mean))
 
 
-def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndarray) -> np.ndarray:
+def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndarray,
+                x_rows: np.ndarray) -> np.ndarray:
     """Gradient of the squared MMD between the rows of ``x`` and the
-    ``weights``-weighted rows of ``y`` with respect to every row of ``y``.
+    ``weights``-weighted rows of ``y`` with respect to every row of ``y``;
+    ``x_rows`` is ``row_stats(x, spec)``, which the trainer forms once per
+    video and takes the batch's columns of.
 
     Row r receives 2 w_r sum_a w_a grad_b k(y_a, y_r) (the self-pair counted
     once, its two symmetric contributions folded into the factor 2) minus
     (2/n) w_r sum_i grad_b k(x_i, y_r); uniform weights give the factors
     2/m^2 and 2/nm. Kernel gradients decompose as U * a + W * b, so both sums
-    reduce to matrix products.
+    reduce to matrix products. The coefficients of both come from one kernel
+    pass over the stacked (m + n) x m Gram products of ``[y; x]`` against
+    ``y``: rows ``:m`` are the self block, rows ``m:`` the cross block.
     """
     x, y = _as_pair(x, y, "mmd2_grad_y")
-    n = x.shape[0]
-    w = _as_weights(weights, y.shape[0])
+    n, m = x.shape[0], y.shape[0]
+    w = _as_weights(weights, m)
 
-    _, u_yy, w_yy = _kernel(y, y, spec, grad=True)
-    _, u_xy, w_xy = _kernel(x, y, spec, grad=True)
-    grad_self = u_yy.T @ (w[:, None] * y) + (w @ w_yy)[:, None] * y
-    grad_cross = u_xy.T @ x + w_xy.sum(axis=0)[:, None] * y
+    _, u, v = _stacked_kernel(x, y, spec, x_rows, grad=True)
+    grad_self = u[:m].T @ (w[:, None] * y) + (w @ v[:m])[:, None] * y
+    grad_cross = u[m:].T @ x + v[m:].sum(axis=0)[:, None] * y
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)
 
 

@@ -43,18 +43,24 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ShapeError(f"pairwise_sqdist: incompatible shapes {a.shape} and {b.shape}")
-    return sqdist_from_gram(a, b, a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+    same = a is b or np.array_equal(a, b)
+    return sqdist_from_gram(a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1),
+                            b.shape[0] if same else 0)
 
 
-def sqdist_from_gram(a: np.ndarray, b: np.ndarray, gram: np.ndarray,
-                     sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+def sqdist_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
+                     n_self: int) -> np.ndarray:
     """``pairwise_sqdist(a, b)`` from the Gram product ``a @ b.T`` and the
     squared row norms of ``a`` and ``b``, for callers that already hold them.
+
+    The leading ``n_self`` rows of ``a`` are the rows of ``b``, in order and
+    one or more times over (0 when they are not): each such block of
+    ``len(b)`` rows gets an exactly zero diagonal.
     """
     d = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
     np.maximum(d, 0.0, out=d)
-    if a.shape == b.shape and (a is b or np.array_equal(a, b)):
-        np.fill_diagonal(d, 0.0)
+    rows = np.arange(n_self)
+    d[rows, rows % d.shape[1]] = 0.0
     return d
 
 

@@ -181,15 +181,20 @@ def generate_moving5(cfg: SynthConfig, split: str = "train") -> list[VideoFeatur
 
 
 def write_dataset(out_dir, cfg: SynthConfig) -> dict:
-    """Write features/labels text files for all splits plus a manifest."""
+    """Write features/labels text files for all splits plus a manifest.
+
+    Each split's videos are drawn before its directory is made, so a
+    configuration that cannot generate (a negative seed) leaves nothing.
+    """
     out_dir = Path(out_dir)
     manifest = {"seed": cfg.seed, "videos_per_split": cfg.n_videos, "n_classes": N_CLASSES,
                 "noise_std": cfg.noise_std, "splits": {}}
     for split in SPLITS:
+        videos = generate_moving5(cfg, split)
         split_dir = out_dir / split
         split_dir.mkdir(parents=True, exist_ok=True)
         entries = []
-        for video in generate_moving5(cfg, split):
+        for video in videos:
             feat = split_dir / f"{video.name}_features.txt"
             labs = split_dir / f"{video.name}_labels.txt"
             save_features(feat, video.frames)

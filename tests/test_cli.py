@@ -85,6 +85,11 @@ class TestGen:
         assert f"[ValueError]: n_videos must be at least 1, got {videos}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_failed_generation_leaves_nothing(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "d"), "--videos", "1", "--seed", "-1"]) == 3
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("command", ["gen", "segment", "randm"])
     def test_negative_seed_exit_3(self, tmp_path, capsys, command):
         feat, _ = write_blob_video(tmp_path)

@@ -392,7 +392,7 @@ class TestSphereProject:
             with pytest.raises(DegenerateInputError, match="all-zero row 3$"):
                 kernel_matrix(a, b, spec)
         with pytest.raises(DegenerateInputError, match="all-zero row 3$"):
-            mmd2_grad_y(x, zero, spec, np.full(5, 1 / 5))
+            mmd2_grad_y(x, zero, spec, np.full(5, 1 / 5), kernels.row_stats(x, spec))
         # A zero frame outside the scale sample still has no direction.
         monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 8)
         frames = rng.normal(size=(30, 4))

@@ -11,11 +11,13 @@ from mmdseg import (
     kernel_matrix,
     make_rng,
     mmd2_grad_y,
+    row_stats,
     train_approximation,
 )
 from mmdseg import learner
-from mmdseg.errors import ShapeError
-from mmdseg.mmd import mmd2_from_terms, simplex_weights
+from mmdseg.errors import NumericError, ShapeError
+from mmdseg.kernels import SPHERE_FAMILIES, _kernel, _stacked_kernel
+from mmdseg.mmd import mmd2_from_terms, mmd2_terms, simplex_weights
 
 from oracles import finite_diff_grad, mmd2_triple_loop, simplex_qp_by_supports
 
@@ -68,13 +70,15 @@ class TestMmd2:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            mmd2_grad_y(np.zeros((2, 3)), np.zeros((2, 4)), spec_for("gauss"), np.full(2, 1 / 2))
+            x, spec = np.zeros((2, 3)), spec_for("gauss")
+            mmd2_grad_y(x, np.zeros((2, 4)), spec, np.full(2, 1 / 2), row_stats(x, spec))
 
 
 class TestMmd2GradY:
     def test_stationary_at_identical_samples_gauss(self):
         x = make_rng(54).normal(size=(5, 3))
-        grad = mmd2_grad_y(x, x.copy(), spec_for("gauss"), np.full(5, 1 / 5))
+        spec = spec_for("gauss")
+        grad = mmd2_grad_y(x, x.copy(), spec, np.full(5, 1 / 5), row_stats(x, spec))
         assert np.max(np.abs(grad)) < 1e-12
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -82,7 +86,7 @@ class TestMmd2GradY:
         rng = make_rng(55)
         spec = spec_for(family)
         x, y = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (3, 2))
-        grad = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3))
+        grad = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3), row_stats(x, spec))
         fd = finite_diff_grad(lambda m: mmd2(x, m, spec), y, 1e-4)
         assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-4
 
@@ -91,8 +95,9 @@ class TestMmd2GradY:
         x, y = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
         for family in FAMILIES:
             spec = spec_for(family)
-            g1 = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3))
-            g2 = mmd2_grad_y(np.repeat(x, 2, axis=0), y, spec, np.full(3, 1 / 3))
+            g1 = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3), row_stats(x, spec))
+            x2 = np.repeat(x, 2, axis=0)
+            g2 = mmd2_grad_y(x2, y, spec, np.full(3, 1 / 3), row_stats(x2, spec))
             assert np.allclose(g1, g2, atol=1e-10), family
 
     def test_descent_direction(self):
@@ -101,7 +106,7 @@ class TestMmd2GradY:
             spec = spec_for(family)
             x, y = rng.normal(size=(6, 3)), rng.normal(size=(3, 3))
             base = mmd2(x, y, spec)
-            grad = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3))
+            grad = mmd2_grad_y(x, y, spec, np.full(3, 1 / 3), row_stats(x, spec))
             if np.max(np.abs(grad)) < 1e-12:
                 continue
             for step in (1e-4, 1e-3):
@@ -134,19 +139,80 @@ class TestWeightedMmd2:
         spec = spec_for(family)
         x, y = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (3, 2))
         w = simplex_point(rng, 3)
-        grad = mmd2_grad_y(x, y, spec, w)
+        grad = mmd2_grad_y(x, y, spec, w, row_stats(x, spec))
         fd = finite_diff_grad(lambda m: mmd2(x, m, spec, w), y, 1e-4)
         assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-4
 
     def test_zero_weight_row_gets_zero_gradient(self):
         rng = make_rng(65)
         x, y = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
-        grad = mmd2_grad_y(x, y, spec_for("gauss_ntk"), np.array([0.5, 0.0, 0.5]))
+        spec = spec_for("gauss_ntk")
+        grad = mmd2_grad_y(x, y, spec, np.array([0.5, 0.0, 0.5]), row_stats(x, spec))
         assert np.array_equal(grad[1], np.zeros(3))
 
     def test_weight_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mmd2_grad_y(np.zeros((2, 3)), np.zeros((2, 3)), spec_for("gauss"), np.ones(3) / 3)
+            x, spec = np.zeros((2, 3)), spec_for("gauss")
+            mmd2_grad_y(x, x.copy(), spec, np.ones(3) / 3, row_stats(x, spec))
+
+
+class TestStackedPass:
+    """The trainer's kernel pass: ``[Kyy; Kxy]`` from one pass over the
+    stacked Gram products, bit-equal to two separate ``_kernel`` calls."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_equal_to_separate_calls(self, family):
+        rng = make_rng(67)
+        spec = spec_for(family)
+        y = rng.normal(size=(5, 9))  # two diagonal distances of 1e-15 unless zeroed
+        # n > m, a cross block equal to y (m = n, the untrained case), and n = m unequal.
+        for x in (y.copy(), rng.normal(size=(7, 9)), rng.normal(size=(5, 9))):
+            for grad in (False, True):
+                stacked = _stacked_kernel(x, y, spec, row_stats(x, spec), grad)
+                yy, xy = _kernel(y, y, spec, grad), _kernel(x, y, spec, grad)
+                if not grad:
+                    stacked, yy, xy = (stacked,), (yy,), (xy,)
+                for got, self_block, cross in zip(stacked, yy, xy):
+                    assert np.array_equal(got[:5], self_block), family
+                    assert np.array_equal(got[5:], cross), family
+
+    def test_diagonal_distances_are_zero(self):
+        # Kyy's diagonal always, Kxy's only when x equals y. On these rows the
+        # Gram expansion leaves distances of 1e-15 on two diagonal entries.
+        spec = spec_for("gauss")
+        y = make_rng(67).normal(size=(5, 9))
+        x = y.copy()
+        k = _stacked_kernel(x, y, spec, row_stats(x, spec))
+        assert np.all(np.diag(k[:5]) == 1.0) and np.all(np.diag(k[5:]) == 1.0)
+        x[2, 0] += 1e-3
+        k = _stacked_kernel(x, y, spec, row_stats(x, spec))
+        assert np.all(np.diag(k[:5]) == 1.0) and k[7, 2] < 1.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_terms_equal_kernel_matrix(self, family):
+        rng = make_rng(68)
+        spec = spec_for(family)
+        x, y = rng.normal(size=(9, 4)), rng.normal(size=(3, 4))
+        kyy, kxy_mean = mmd2_terms(x, y, spec, row_stats(x, spec))
+        assert np.array_equal(kyy, kernel_matrix(y, y, spec))
+        assert np.array_equal(kxy_mean, kernel_matrix(x, y, spec).mean(axis=0))
+
+    def test_non_finite_terms_raise(self):
+        x, y = np.array([[np.inf, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0]])
+        spec = spec_for("gauss")
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            mmd2_terms(x, y, spec, row_stats(x, spec))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_row_stats_shape_checked(self, family):
+        rng = make_rng(69)
+        spec = spec_for(family)
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=(2, 3))
+        rows = row_stats(x, spec)
+        assert rows.shape == (2 if family in SPHERE_FAMILIES else 1, 6)
+        for bad in (rows[:, :5], np.vstack((rows, rows)), rows[0]):
+            with pytest.raises(ShapeError, match="row stats"):
+                mmd2_grad_y(x, y, spec, np.full(2, 1 / 2), bad)
 
 
 class TestSimplexWeights:
@@ -228,9 +294,9 @@ class TestBatchPlan:
         batches = []
         grad = learner.mmd2_grad_y
 
-        def spy(x, y, spec, weights):
+        def spy(x, y, spec, weights, x_rows):
             batches.append([int(np.flatnonzero((frames == row).all(axis=1))[0]) for row in x])
-            return grad(x, y, spec, weights)
+            return grad(x, y, spec, weights, x_rows)
 
         monkeypatch.setattr(learner, "mmd2_grad_y", spy)
         train_approximation(VideoFeatures(frames=frames), TrainConfig(m=m, epochs=epochs, seed=4))
@@ -264,7 +330,7 @@ class TestConvergence:
         spec = KernelSpec(family="gauss", lengthscale=1.5)
         y = np.array([[0.5, 0.5], [-0.5, -0.5]])
         for _ in range(200):
-            y = y - 1.0 * mmd2_grad_y(x, y, spec, np.full(2, 1 / 2))
+            y = y - 1.0 * mmd2_grad_y(x, y, spec, np.full(2, 1 / 2), row_stats(x, spec))
         dists = np.linalg.norm(y[:, None, :] - np.stack([mean_a, mean_b])[None, :, :], axis=2)
         closest = dists.min(axis=1)
         assert np.all(closest < 0.1)
