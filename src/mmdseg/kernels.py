@@ -32,11 +32,13 @@ product rescaling alpha uses the same r. An unresolved spec has r = 1, the
 plain network.
 
 Scales: ``resolve_spec`` fixes a video's lengthscale, input scale and alpha
-in one pass. It samples at most ``MAX_SCALE_FRAMES`` frames once and takes
-the pair statistics of both medians from one Gram product of the raw sample
-(the ``_sphere`` NTK reads its cosines, gram / (|a| |b|), from that same
-product). It returns the sample and, from the same pair values, the
-resolved kernel's mean over it, which the trainer's loss uses as mean(Kxx).
+in one pass. It forms the ``row_stats`` of all frames, samples at most
+``MAX_SCALE_FRAMES`` frames once and takes the pair statistics of every
+median from one Gram product of the raw sample. Its NTK factor is no copy
+of the kernel: ``_kernel_core`` runs over that product in blocks of
+``RESOLVE_BLOCK`` rows. It returns the sample, the resolved kernel's mean
+over it (the trainer's mean(Kxx), exactly the mean of ``kernel_matrix`` on
+the sample) and the row stats of the frames and of the sample.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -92,6 +94,9 @@ SPHERE_FAMILIES = ("ntk_sphere", "gauss_ntk_sphere")
 
 # Frames sampled (seeded) when a video's scales are taken from its frames.
 MAX_SCALE_FRAMES = 2000
+# Sample rows per ``_kernel_core`` pass in ``resolve_spec``. On a 2000-frame sample
+# 256 rows peak within 5 MiB of the medians' peak; 512 rows go 40 MiB above it.
+RESOLVE_BLOCK = 256
 # The arccos argument is clamped to [-1 + CLAMP_EPS, 1 - CLAMP_EPS].
 CLAMP_EPS = 1e-7
 
@@ -126,7 +131,7 @@ def _as_2d(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] < 1:
+    if x.ndim != 2 or min(x.shape) < 1:
         raise ShapeError(f"expected a nonempty 2-D array, got shape {x.shape}")
     return x
 
@@ -181,7 +186,10 @@ def row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    return np.exp(-sqdist / spec.lengthscale**2)
+    """exp(-sqdist / lengthscale^2), written over ``sqdist``."""
+    np.negative(sqdist, out=sqdist)
+    sqdist /= spec.lengthscale**2
+    return np.exp(sqdist, out=sqdist)
 
 
 def _k0_factor(d: int, spec: KernelSpec) -> float:
@@ -208,7 +216,6 @@ def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: 
     sin_t = np.sqrt(1.0 - c * c)
     coef = spec.sigma_w_sq / (2.0 * math.pi)
     g = sin_t + pi_m_t * c
-    del c  # one array less at the peak of resolve_spec's pass over the sampled pairs
     nngp = coef * p * g + spec.sigma_b_sq
     ntk_dot = coef * pi_m_t
     values = nngp if nngp_only else nngp + k0_ab * ntk_dot
@@ -237,7 +244,8 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
 
     The Gaussian and the raw NTK read the product as is; the ``_sphere`` NTK
     sees the rows divided by their norms, so it reads the cosines
-    ``gram / outer(|a|, |b|)``, with squared norms of exactly 1.
+    ``gram / outer(|a|, |b|)``, with squared norms of exactly 1 and a
+    cosine of exactly 1 wherever the distance is zeroed.
     """
     family = spec.family
     sphere = family in SPHERE_FAMILIES
@@ -250,7 +258,10 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
             return (kg, f * kg, -f * kg) if grad else kg
     if sphere:
         na, nb = rows_a[1], rows_b[1]
-        gram /= np.outer(na, nb)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where a tiny row's square underflows
+            gram /= np.outer(na, nb)
+        self_pairs = np.arange(n_self)
+        gram[self_pairs, self_pairs % gram.shape[1]] = 1.0  # where the distances are zero
         sq_a, sq_b = np.ones_like(na), np.ones_like(nb)
 
     s = _k0_factor(d, spec)
@@ -320,12 +331,14 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,
                  rng: np.random.Generator | None = None):
     """Freeze the data-derived parameters of ``spec`` for one video; returns
-    ``(spec, sample, kxx_mean)``.
+    ``(spec, sample, kxx_mean, frame_rows, sample_rows)``.
 
     One pass over one sample: ``sample`` holds at most ``MAX_SCALE_FRAMES``
     frames (a view of all frames when they fit, else a seeded draw kept in
-    order). One Gram product of its raw rows with the squared row norms
-    gives the pair distances of the distinct pairs. From these come
+    order). ``frame_rows`` is ``row_stats`` of all frames and
+    ``sample_rows`` its columns for the sample, which the trainer reuses.
+    One Gram product of the sample's raw rows with the squared row norms
+    gives the pair distances. Over the distinct pairs come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -335,15 +348,20 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
       scale has collapsed and ``DegenerateScaleError`` is raised;
     - for NTK families, the network's input scale r = sqrt(d / med ||x||^2)
       over all frames. The ``_sphere`` families see unit rows, so r is
-      exactly sqrt(d), and their NTK reads the cosines gram / (|x_i| |x_j|)
-      of the same product, with self terms of exactly 1. Every frame, not
-      only the sample, must then have a direction: an all-zero row raises
-      ``DegenerateInputError`` (a row of tiny or huge entries is measured
-      exactly, as in ``kernel_matrix``);
-    - for product families, alpha = med(gauss) / med(ntk) over the sampled
-      pairs, which brings the two factors into the same range;
-    - ``kxx_mean``, the resolved kernel's mean over all ordered pairs of the
-      sample, diagonal included: the mean(Kxx) of the trainer's loss.
+      exactly sqrt(d). Every frame, not only the sample, must then have a
+      direction: an all-zero row raises ``DegenerateInputError`` (a row of
+      tiny or huge entries is measured exactly, as in ``kernel_matrix``);
+    - for product families, alpha = med(gauss) / med(ntk), which brings the
+      two factors into the same range.
+
+    The NTK factor runs through ``_kernel_core``, as every kernel value
+    does, so K0(a, a) comes from the squared row norms. It takes blocks of
+    ``RESOLVE_BLOCK`` sample rows against the columns from the block's first
+    row on, each written over the part of the Gram product it consumed and
+    mirrored below the block. ``kxx_mean`` is the resolved kernel's mean
+    over all ordered pairs of the sample, diagonal included, equal to
+    ``kernel_matrix(sample, sample, spec).mean()``: the mean(Kxx) of the
+    trainer's loss.
 
     All are computed once, before any optimization, and never touched again.
     """
@@ -356,16 +374,16 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     keep = slice(None)
     if n > MAX_SCALE_FRAMES:
         keep = np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
-    sq_all = np.sum(x * x, axis=1)
-    sample, sq = x[keep], sq_all[keep]
-    m = sample.shape[0]
+    frame_rows = row_stats(x, spec)
+    sample, sample_rows = x[keep], frame_rows[:, keep]
+    m, sq = sample.shape[0], sample_rows[0]
     gram = sample @ sample.T
-    i, j = np.triu_indices(m, k=1)
-    sqdist = np.maximum(sq[i] + sq[j] - 2.0 * gram[i, j], 0.0)
+    sqdist = sqdist_from_gram(gram, sq, sq, m)
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)  # the distinct pairs
     noise = d * np.finfo(np.float64).eps * float(np.max(sq))
-    lengthscale = median(sqdist)
+    lengthscale = median(sqdist[upper])
     if lengthscale <= noise:
-        moving = sqdist[sqdist > noise]
+        moving = sqdist[upper & (sqdist > noise)]
         if moving.size == 0:
             raise DegenerateScaleError(
                 "every sampled squared distance is zero or rounding noise (are all frames identical?)"
@@ -373,38 +391,34 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
         lengthscale = median(moving)
         del moving
     resolved = replace(spec, lengthscale=lengthscale)
-    # Kernel values on the distinct pairs and on the diagonal give kxx_mean.
-    pairs = _gauss(sqdist, resolved) if family in GAUSS_FAMILIES else 1.0
-    diag = np.ones(m)  # the Gaussian's diagonal
+    k = _gauss(sqdist, resolved) if family in GAUSS_FAMILIES else None  # over sqdist
     del sqdist
     if family != "gauss":
-        med_sq = 1.0 if family in SPHERE_FAMILIES else median(sq_all)
+        med_sq = 1.0 if family in SPHERE_FAMILIES else median(frame_rows[0])
         if med_sq <= 0.0:
             raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
         resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
-        if family in SPHERE_FAMILIES:  # the network sees unit rows: K0 reads the cosines
-            norms = _row_norms(x, sq_all)[keep]
-            with np.errstate(invalid="ignore"):  # 0 / 0 where a tiny row's square underflows
-                gram /= np.outer(norms, norms)
-            np.fill_diagonal(gram, 1.0)  # self terms of exactly s + sb2
-        s = _k0_factor(d, resolved)
-        k0_diag = s * np.diag(gram) + spec.sigma_b_sq
-        p = np.sqrt(k0_diag[i] * k0_diag[j])
-        kn = _arccos_form(s * gram[i, j] + spec.sigma_b_sq, p, resolved, family == "nngp")
-        diag = _arccos_form(k0_diag, k0_diag, resolved, family == "nngp")
+        ntk = replace(resolved, family=family.removeprefix("gauss_"))
+        kn = gram  # a block reads only product entries that no earlier block wrote
+        for lo in range(0, m, RESOLVE_BLOCK):
+            hi = min(lo + RESOLVE_BLOCK, m)
+            kn[lo:hi, lo:] = _kernel_core(gram[lo:hi, lo:], sample_rows[:, lo:hi], sample_rows[:, lo:],
+                                          d, hi - lo, ntk, grad=False)
+            kn[hi:, lo:hi] = kn[lo:hi, hi:].T
         if family in PRODUCT_FAMILIES:
-            med_ntk = median(kn)
+            med_ntk = median(kn[upper])
             if med_ntk <= 0.0:
                 raise DegenerateScaleError("median NTK value is not positive; cannot rescale")
-            med_gauss = median(pairs)
+            med_gauss = median(k[upper])
             if med_gauss == 0.0:
                 raise DegenerateScaleError(
                     "median Gaussian value underflows to zero (are most frames near-identical?)"
                 )
             resolved = replace(resolved, alpha=med_gauss / med_ntk)
-            kn, diag = resolved.alpha * kn, resolved.alpha * diag
-        pairs = kn * pairs
-    kxx_mean = float((2.0 * np.sum(pairs) + np.sum(diag)) / m**2)
+            kn *= resolved.alpha
+            kn *= k
+        k = kn
+    kxx_mean = float(np.mean(k))
     if not math.isfinite(kxx_mean):
         raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
-    return resolved, sample, kxx_mean
+    return resolved, sample, kxx_mean, frame_rows, sample_rows

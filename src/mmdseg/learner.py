@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .kernels import KernelSpec, kernel_matrix, resolve_spec, row_stats
+from .kernels import KernelSpec, kernel_matrix, resolve_spec
 from .mmd import mmd2_from_terms, mmd2_grad_y, mmd2_terms, simplex_weights
 from .numerics import make_rng
 from .preprocess import VideoFeatures, l2_normalize_rows, temporal_smooth
@@ -145,9 +145,9 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     follows per epoch. Fully deterministic given the seed.
 
     Each value is formed as rarely as it changes: the ``row_stats`` of the
-    frames and of the sample once per video (each batch takes its columns),
-    and one stacked kernel pass, Kyy above Kxy, per gradient step and per
-    loss evaluation.
+    frames and of the sample once per video, by ``resolve_spec`` (each batch
+    takes its columns), and one stacked kernel pass, Kyy above Kxy, per
+    gradient step and per loss evaluation.
     """
     frames = np.asarray(v.frames, dtype=np.float64)
     n = frames.shape[0]
@@ -156,12 +156,10 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
 
     # Refit and loss run on the scale sample; each epoch's Kyy and Kxy give
     # both the logged loss and the refit weights.
-    spec, sample, kxx_mean = resolve_spec(frames, cfg.kernel, make_rng(cfg.seed, 0))
+    spec, sample, kxx_mean, frame_rows, sample_rows = resolve_spec(frames, cfg.kernel,
+                                                                   make_rng(cfg.seed, 0))
     prototypes = init_uniform_means(frames, cfg.m)
     rng_batches = make_rng(cfg.seed, 1)
-    # Row norms once per video; a sample of every frame is the frames themselves.
-    frame_rows = row_stats(frames, spec)
-    sample_rows = frame_rows if sample.shape[0] == n else row_stats(sample, spec)
 
     weights = np.full(cfg.m, 1.0 / cfg.m)
     kyy, kxy_mean = mmd2_terms(sample, prototypes, spec, sample_rows)

@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .kernels import KernelSpec, _stacked_kernel
+from .kernels import KernelSpec, _as_2d, _stacked_kernel
 
 __all__ = ["mmd2_terms", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 
 
 def _as_pair(x, y, who: str):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x, y = _as_2d(x), _as_2d(y)
     if x.shape[1] != y.shape[1]:
         raise ShapeError(f"{who}: dimension mismatch {x.shape[1]} vs {y.shape[1]}")
     return x, y

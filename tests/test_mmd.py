@@ -156,6 +156,19 @@ class TestWeightedMmd2:
             mmd2_grad_y(x, x.copy(), spec, np.ones(3) / 3, row_stats(x, spec))
 
 
+@pytest.mark.parametrize("x_rows, y_rows", [(0, 2), (3, 0)])
+def test_row_sets_without_rows_are_rejected(x_rows, y_rows):
+    rng = make_rng(70)
+    x, y = rng.normal(size=(x_rows, 3)), rng.normal(size=(y_rows, 3))
+    spec = spec_for("gauss_ntk")
+    calls = (lambda: kernel_matrix(x, y, spec),
+             lambda: mmd2_terms(x, y, spec, row_stats(x, spec)),
+             lambda: mmd2_grad_y(x, y, spec, np.full(y_rows, 1 / max(y_rows, 1)), row_stats(x, spec)))
+    for call in calls:
+        with pytest.raises(ShapeError, match="nonempty"):
+            call()
+
+
 class TestStackedPass:
     """The trainer's kernel pass: ``[Kyy; Kxy]`` from one pass over the
     stacked Gram products, bit-equal to two separate ``_kernel`` calls."""

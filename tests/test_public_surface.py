@@ -3,7 +3,8 @@
 The package ships only what its pipeline and its command line run, so each
 exported name must be referenced somewhere in ``src/mmdseg`` outside its
 own definition. A re-export in ``__init__.py`` is not a use, and neither is
-an import that nothing reads.
+an import that nothing reads. The kernel's closed form has one caller, so
+no second copy of the kernel can grow beside its one elementwise chain.
 """
 
 import ast
@@ -51,3 +52,12 @@ def test_every_exported_name_is_used_in_the_package():
     assert len(exports) >= 20, "no __all__ lists found"
     unused = [f"{module}.{name}" for module, name in exports if not _used(trees, module, name)]
     assert unused == []
+
+
+def test_the_arccos_form_has_one_caller():
+    # Every NTK and NNGP value, the scales' included, goes through the one
+    # elementwise chain, ``kernels._kernel_core``.
+    callers = [(module, getattr(stmt, "name", None)) for module, tree in _trees().items() for stmt in tree.body
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arccos_form"]
+    assert callers == [("kernels", "_kernel_core")]
