@@ -77,27 +77,17 @@ def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndar
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)
 
 
-def _simplex_face_minimizer(kyy: np.ndarray, kxy_mean: np.ndarray, support: list[int]) -> np.ndarray:
-    """Minimizer of w' Kyy w - 2 w' kxy_mean on the affine hull {sum w = 1}
-    of the face ``support`` (KKT system; least squares if Kyy is singular)."""
-    k = len(support)
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, :k] = 2.0 * kyy[np.ix_(support, support)]
-    kkt[:k, k] = kkt[k, :k] = 1.0
-    rhs = np.append(2.0 * kxy_mean[support], 1.0)
-    w = np.zeros(kxy_mean.size)
-    w[support] = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-    return w / w.sum()
-
-
 def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
     """Weights on the probability simplex that minimize squared MMD.
 
     Minimizes the weight-dependent part w' Kyy w - 2 w' kxy_mean with a
-    primal active-set method: start at the best single prototype, add the
+    primal active-set method over a boolean support mask: start at the best
+    single prototype, solve the support face's KKT system for its minimizer
+    on {sum w = 1} (least squares if Kyy is singular), add the lowest-index
     prototype whose gradient most undercuts the support's multiplier, and
-    step back to the simplex boundary (dropping a prototype) whenever the
-    face minimizer leaves it. Deterministic, and exact up to rounding while
+    step back to the simplex boundary (dropping every prototype whose weight
+    reaches zero) whenever the face minimizer leaves it, that is, has a
+    weight at or below zero. Deterministic, and exact up to rounding while
     Kyy is well conditioned. Near-duplicate prototypes (condition number
     beyond ~1e12) may split their mass, leaving the objective up to ~1e-7
     (relative) above its minimum.
@@ -110,28 +100,31 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
     first = int(np.argmin(np.diag(kyy) - 2.0 * kxy_mean))
     w = np.zeros(m)
     w[first] = 1.0
-    support = [first]
+    support = w > 0.0
     for _ in range(4 * m * m + 10):
-        target = _simplex_face_minimizer(kyy, kxy_mean, support)
-        if np.all(target[support] > tol):
+        k = int(support.sum())
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = 2.0 * kyy[np.ix_(support, support)]
+        kkt[:k, k] = kkt[k, :k] = 1.0
+        target = np.zeros(m)
+        target[support] = np.linalg.lstsq(kkt, np.append(2.0 * kxy_mean[support], 1.0), rcond=None)[0][:k]
+        target /= target.sum()
+        if np.all(target[support] > 0.0):
             w = target
             grad = 2.0 * (kyy @ w - kxy_mean)
-            outside = [j for j in range(m) if j not in support]
-            if not outside:
-                break
-            gap = grad[outside] - grad[support].mean()
+            gap = np.where(support, np.inf, grad - grad[support].mean())
             if gap.min() >= -tol:
                 break
-            support = sorted(support + [outside[int(np.argmin(gap))]])
+            support[np.argmin(gap)] = True
         else:
             # Walk toward the face minimizer until a weight reaches zero.
             step = w - target
-            shrinking = [i for i in support if step[i] > 0.0]
-            if not shrinking:  # the new prototype cannot enter: w is optimal
+            shrinking = support & (step > 0.0)
+            if not shrinking.any():  # the new prototype cannot enter: w is optimal
                 break
-            t = min(w[i] / step[i] for i in shrinking)
+            t = np.min(w[shrinking] / step[shrinking])
             w = np.maximum(w - t * step, 0.0)
-            support = [i for i in support if w[i] > tol]
-            w[[i for i in range(m) if i not in support]] = 0.0
+            support &= w > tol
+            w[~support] = 0.0
             w /= w.sum()
     return w

@@ -3,9 +3,10 @@ Gaussian smoothing.
 
 File formats
 ------------
-Features: UTF-8 text, one frame per line, comma- or whitespace-separated
-floats. Labels: one token per line; integer tokens are used as-is, otherwise
-all tokens are interned to integers in first-appearance order.
+Features: UTF-8 text, one frame per non-blank line, floats split on commas
+if the line has any, else on whitespace; an empty field is an error.
+Labels: one token per line; integer tokens are used as-is, otherwise all
+tokens are interned to integers in first-appearance order.
 """
 
 from __future__ import annotations
@@ -55,39 +56,33 @@ class VideoFeatures:
         return self.frames.shape[0]
 
 
-def _parse_feature_line(line: str, lineno: int, path) -> list[float]:
-    tokens = line.replace(",", " ").split()
-    try:
-        return [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
-
-
 def load_features(path, labels_path=None) -> VideoFeatures:
-    """Read a feature file (and optionally a label file) into VideoFeatures."""
+    """Read a feature file (and optionally a label file) into VideoFeatures.
+
+    Each non-blank line is one frame, split on commas if it has any, else on
+    whitespace; every field must parse as a float. Each row is checked where
+    it is read: a bad or empty field, a width other than the first row's and
+    a non-finite value are each a ``ParseError`` naming the line.
+    """
     path = Path(path)
-    rows: list[list[float]] = []
-    linenos: list[int] = []
-    width = None
+    rows: list[np.ndarray] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = _parse_feature_line(line, lineno, path)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
+            try:
+                row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
+            if rows and row.size != rows[0].size:
+                raise ParseError(f"{path}:{lineno}: expected {rows[0].size} values, got {row.size}")
+            if not np.all(np.isfinite(row)):
+                raise ParseError(f"{path}:{lineno}: non-finite feature values")
             rows.append(row)
-            linenos.append(lineno)
     if not rows:
         raise ParseError(f"{path}: no feature rows found")
-    frames = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(frames)):
-        bad = int(np.flatnonzero(~np.isfinite(frames).all(axis=1))[0])
-        raise ParseError(f"{path}:{linenos[bad]}: non-finite feature values")
     labels = load_labels(labels_path) if labels_path is not None else None
-    return VideoFeatures(frames=frames, labels=labels, name=path.stem.removesuffix("_features"))
+    return VideoFeatures(frames=np.stack(rows), labels=labels, name=path.stem.removesuffix("_features"))
 
 
 def load_labels(path) -> np.ndarray:

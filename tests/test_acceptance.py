@@ -260,3 +260,16 @@ def test_criterion_10_descent_sanity(table_runs):
     ok = bad == 0
     assert report(10, "descent sanity", ok,
                   f"final logged MMD^2 <= initial on {len(logs) - bad}/{len(logs)} videos")
+
+
+# sha256 of the pinned split's 50 int64 label arrays in order, as
+# bench/workloads.py's _label_digest computes it; the same at 1 and 2 BLAS
+# threads and at the default. A change that moves a label updates it.
+PINNED_LABEL_DIGEST = "ae557e783ea1a3b7d99f35c8769ef096718f76ecd454d99e7b200c37fadc307b"
+
+
+def test_pinned_split_labels_are_pinned(table_runs):
+    digest = hashlib.sha256()
+    for seg in table_runs["segmentations"]:
+        digest.update(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == PINNED_LABEL_DIGEST

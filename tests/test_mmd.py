@@ -296,6 +296,38 @@ class TestSimplexWeights:
     def test_single_row(self):
         assert np.array_equal(simplex_weights(np.array([[2.0]]), np.array([0.3])), [1.0])
 
+    @pytest.mark.parametrize("excess", [1e-12, 1.5e-12, 3e-12])
+    def test_prototype_entering_with_a_tiny_weight_keeps_the_optimum(self, excess):
+        # Kyy = I: prototype 1 undercuts prototype 0 by 2 * excess, just past
+        # the entry tolerance (1e-12), and its face weight is excess / 2. A
+        # positive face weight, however small, is inside the simplex: a walk
+        # toward the face minimizer as if it had left passes the minimizer
+        # and ends at w = [0, 1], 2.0 above the minimum.
+        kyy, b = np.eye(2), np.array([0.5, -0.5 + excess])
+        w = simplex_weights(kyy, b)
+        best, _ = simplex_qp_by_supports(kyy, b)
+        assert w @ kyy @ w - 2.0 * b @ w == pytest.approx(best, abs=1e-12)
+        assert w[0] == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize("points, target", [
+        # Supports [1], [1, 3], [0, 1, 3], then 1 drops; [0, 3], [0, 2, 3], then 3 drops.
+        ([[4, -1], [3, -3], [-2, -2], [-4, -3]], [1.0, -1.0]),
+        # Supports up to [0, 1, 2, 3], then 0 and 2 reach zero in the same step.
+        ([[-1, -2, 4], [1, -3, 0], [2, 1, -1], [1, 3, -2]], [1.0, 0.0, -1.0]),
+        # Three step-backs: 2, then 0, then 3 drop, leaving [1, 5, 6].
+        ([[-1, 4, -3], [1, -4, 3], [-3, -4, -2], [2, 1, 2], [-2, 4, -2], [3, 2, 1], [-2, -3, -3]],
+         [1.0, -0.5, -0.5]),
+    ])
+    def test_step_back_drops_prototypes(self, points, target):
+        # Linear kernel: the weights give the point of the points' convex hull
+        # closest to ``target``. The active set must drop prototypes it added.
+        y, mu = np.array(points, dtype=float), np.array(target)
+        kyy, b = y @ y.T, y @ mu
+        w = simplex_weights(kyy, b)
+        best, w_ref = simplex_qp_by_supports(kyy, b)
+        assert w @ kyy @ w - 2.0 * b @ w == pytest.approx(best, abs=1e-12)
+        assert np.allclose(w, w_ref, rtol=0.0, atol=1e-12)
+
 
 class TestBatchPlan:
     """The trainer's minibatches: shuffled batches of floor(N/M) frames."""

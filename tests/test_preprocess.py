@@ -54,6 +54,20 @@ class TestLoadFeatures:
         with pytest.raises(ParseError, match=r"feat\.txt:3: non-finite"):
             load_features(p)
 
+    @pytest.mark.parametrize("text", ["1,,2\n3,,4\n", "1,2,\n", "1 2,3\n", ",\n"],
+                             ids=["empty-middle", "trailing-comma", "space-joined", "comma-only"])
+    def test_empty_or_space_joined_comma_field_reports_line(self, tmp_path, text):
+        p = tmp_path / "feat.txt"
+        p.write_text("5,6\n" + text)
+        with pytest.raises(ParseError, match=r"feat\.txt:2: bad feature value"):
+            load_features(p)
+
+    def test_first_bad_line_wins_whatever_its_fault(self, tmp_path):
+        p = tmp_path / "feat.txt"
+        p.write_text("1,2\ninf,3\n4,5\noops,6\n")
+        with pytest.raises(ParseError, match=r"feat\.txt:2: non-finite"):
+            load_features(p)
+
     def test_round_trip_is_lossless(self, tmp_path):
         frames = make_rng(70).normal(size=(20, 6))
         p = tmp_path / "feat.txt"
