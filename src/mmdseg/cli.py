@@ -226,8 +226,9 @@ def _randm_task(payload):
 
 
 def cmd_randm(args) -> int:
-    if args.mbar < 1:
-        raise ValueError(f"--mbar must be at least 1, got {args.mbar}")
+    for flag, value in (("--mbar", args.mbar), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     root = Path(args.features_dir)
     feature_files = sorted(root.glob("*_features.txt"))
     if not feature_files:

@@ -52,13 +52,15 @@ for scalar coefficient fields U, W. Every family goes through one
 elementwise chain, ``_kernel_core``. It reads a Gram product and the
 ``row_stats`` of both row sets (squared row norms, and for the ``_sphere``
 NTK the row norms it divides the product by to get its cosines) and returns,
-in one pass, the kernel values and, when asked, the full coefficient
-matrices, so that MMD gradients reduce to matrix products. ``_kernel(a, b)``
-forms one Gram product and both row sets' stats per call. The trainer's
-step goes through ``_stacked_kernel`` instead: one pass over the Gram
-products ``y @ y.T`` and ``x @ y.T`` stacked into an (m + n) x m array gives
-Kyy and Kxy together, with the batch's row stats taken from ones the trainer
-formed once per video.
+in one pass, either the kernel values or the full coefficient matrices, so
+that MMD gradients reduce to matrix products. It has three callers.
+``kernel_matrix`` forms one Gram product and both row sets' stats per call
+and takes the values. The trainer goes through ``_stacked_kernel``: one
+pass over the Gram products ``y @ y.T`` and ``x @ y.T`` stacked into an
+(m + n) x m array gives Kyy and Kxy together (their values for the loss
+terms, their coefficients for a step), with the batch's row stats taken
+from ones the trainer formed once per video. ``resolve_spec`` runs the
+chain over a frame sample for the scales.
 """
 
 from __future__ import annotations
@@ -136,6 +138,13 @@ def _as_2d(x) -> np.ndarray:
     return x
 
 
+def _as_pair(a, b, who: str):
+    a, b = _as_2d(a), _as_2d(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"{who}: dimension mismatch {a.shape[1]} vs {b.shape[1]}")
+    return a, b
+
+
 def _extreme(sq: np.ndarray) -> np.ndarray:
     """Rows whose squared norm ``sq`` is 0, subnormal, inf or NaN."""
     return ~((sq >= np.finfo(np.float64).tiny) & (sq < np.inf))
@@ -192,11 +201,6 @@ def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.exp(sqdist, out=sqdist)
 
 
-def _k0_factor(d: int, spec: KernelSpec) -> float:
-    """Factor s of K0 = s * <a, b> + sb2 for raw rows of dimension d."""
-    return spec.sigma_w_sq * spec.input_scale**2 / d
-
-
 def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: bool = False,
                  grad=None):
     """NTK (or NNGP) values from K0(a, b) and p = sqrt(K0(a, a) K0(b, b)),
@@ -236,11 +240,14 @@ def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: 
 
 def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: int,
                  n_self: int, spec: KernelSpec, grad: bool):
-    """The kernel's one elementwise chain: values (and with ``grad`` the
-    coefficients U, W) from the Gram product ``gram = a @ b.T``, which it
-    consumes, and the ``row_stats`` of ``a`` and ``b`` for rows of dimension
-    ``d``. The leading ``n_self`` rows of ``a`` are the rows of ``b``, one or
-    more times over, so their pair distances have an exactly zero diagonal.
+    """The kernel's one elementwise chain: the values, or with ``grad`` only
+    the coefficients (U, W) of grad_b k(a_i, b_j) = U[i, j] a_i + W[i, j] b_j,
+    from the Gram product ``gram = a @ b.T``, which it consumes, and the
+    ``row_stats`` of ``a`` and ``b`` for rows of dimension ``d``. The
+    leading ``n_self`` rows of ``a`` are the rows of ``b``, one or more
+    times over, so their pair distances have an exactly zero diagonal.
+    Its callers: ``kernel_matrix`` for values, ``_stacked_kernel`` for the
+    trainer's pass and ``resolve_spec`` for the scales.
 
     The Gaussian and the raw NTK read the product as is; the ``_sphere`` NTK
     sees the rows divided by their norms, so it reads the cosines
@@ -253,9 +260,9 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
     sq_a, sq_b = rows_a[0], rows_b[0]
     if family in GAUSS_FAMILIES:
         kg = _gauss(sqdist_from_gram(gram, sq_a, sq_b, n_self), spec)
+        ug = 2.0 / spec.lengthscale**2 * kg if grad else None  # the Gaussian's U; its W is -U
         if family == "gauss":
-            f = 2.0 / spec.lengthscale**2
-            return (kg, f * kg, -f * kg) if grad else kg
+            return (ug, -ug) if grad else kg
     if sphere:
         na, nb = rows_a[1], rows_b[1]
         with np.errstate(invalid="ignore"):  # 0 / 0 where a tiny row's square underflows
@@ -264,7 +271,7 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
         gram[self_pairs, self_pairs % gram.shape[1]] = 1.0  # where the distances are zero
         sq_a, sq_b = np.ones_like(na), np.ones_like(nb)
 
-    s = _k0_factor(d, spec)
+    s = spec.sigma_w_sq * spec.input_scale**2 / d  # K0 = s * <a, b> + sb2
     k0_aa = s * sq_a + spec.sigma_b_sq
     p = np.sqrt(np.outer(k0_aa, s * sq_b + spec.sigma_b_sq))
     # K0 takes over the Gram buffer unless the sphere gradient still needs the cosines.
@@ -278,33 +285,23 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
         # Tangential projection kills the b-hat component of the upstream gradient.
         un, wn = un / (na[:, None] * nb[None, :]), -un * gram / (nb[None, :] ** 2)
     if kg is None:
-        return kn, un, wn
-    f = 2.0 / spec.lengthscale**2
-    ug, wg = f * kg, -f * kg
-    return (spec.alpha * kn * kg, spec.alpha * (kg * un + kn * ug),
-            spec.alpha * (kg * wn + kn * wg))
-
-
-def _kernel(a: np.ndarray, b: np.ndarray, spec: KernelSpec, grad: bool = False):
-    """Kernel values between the rows of ``a`` and ``b``; with ``grad`` the
-    tuple (values, U, W), grad_b k(a_i, b_j) = U[i, j] a_i + W[i, j] b_j.
-    One Gram product and one pass of ``_kernel_core`` per call."""
-    rows_a = row_stats(a, spec)
-    rows_b = rows_a if b is a else row_stats(b, spec)
-    same = a is b or np.array_equal(a, b)
-    return _kernel_core(a @ b.T, rows_a, rows_b, a.shape[1], b.shape[0] if same else 0, spec, grad)
+        return un, wn
+    return spec.alpha * (kg * un + kn * ug), spec.alpha * (kg * wn - kn * ug)
 
 
 def _stacked_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec, x_rows: np.ndarray,
                    grad: bool = False):
-    """``_kernel`` of the rows of ``y`` stacked above those of ``x``, against
-    ``y``: rows ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(y)``.
+    """The kernel of the rows of ``y`` stacked above those of ``x``, against
+    ``y``: rows ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(y)``;
+    with ``grad``, the coefficients (U, W) of both blocks in place of the
+    values.
 
     One pass of ``_kernel_core`` over the stacked Gram products ``y @ y.T``
     and ``x @ y.T``, an (m + n) x m array; ``x`` itself is never copied.
     ``x_rows`` is ``row_stats(x, spec)``, which the caller may hold already.
-    Every value equals that of the two separate ``_kernel`` calls: Kyy's
-    diagonal distances are zero, and Kxy's when ``x`` equals ``y``.
+    Every value equals that of ``kernel_matrix(y, y)`` and
+    ``kernel_matrix(x, y)``: Kyy's diagonal distances are zero, and Kxy's
+    when ``x`` equals ``y``.
     """
     m, n = y.shape[0], x.shape[0]
     x_rows = np.asarray(x_rows, dtype=np.float64)
@@ -318,11 +315,12 @@ def _stacked_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec, x_rows: np.n
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel evaluations between the rows of ``a`` and the rows of ``b``."""
-    a, b = _as_2d(a), _as_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"kernel_matrix: dimension mismatch {a.shape[1]} vs {b.shape[1]}")
-    values = _kernel(a, b, spec)
+    """Kernel evaluations between the rows of ``a`` and the rows of ``b``:
+    one Gram product and one pass of ``_kernel_core``."""
+    a, b = _as_pair(a, b, "kernel_matrix")
+    n_self = b.shape[0] if np.array_equal(a, b) else 0
+    values = _kernel_core(a @ b.T, row_stats(a, spec), row_stats(b, spec), a.shape[1], n_self, spec,
+                          grad=False)
     if not np.all(np.isfinite(values)):
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     return values
@@ -364,11 +362,12 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     trainer's loss.
 
     All are computed once, before any optimization, and never touched again.
+    A single frame has no pair to take a scale from: ``DegenerateScaleError``.
     """
     x = _as_2d(frames)
     n, d = x.shape
     if n < 2:
-        raise ValueError("resolve_spec needs at least 2 frames")
+        raise DegenerateScaleError("a video of one frame has no pairwise distance to take a scale from")
     rng = rng if rng is not None else make_rng(0)
     family = spec.family
     keep = slice(None)

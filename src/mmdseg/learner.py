@@ -77,22 +77,27 @@ class Approximation:
 
 @dataclass(frozen=True)
 class Segmentation:
-    """Per-frame labels with their run-length encoding."""
+    """Per-frame labels; their run-length encoding and count are read from them."""
 
     frame_labels: np.ndarray
-    segments: list[tuple[int, int, int]]
-    n_frames: int
 
     @classmethod
     def from_labels(cls, labels) -> "Segmentation":
         labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size < 1:
             raise ValueError("labels must be a nonempty 1-D sequence")
-        breaks = np.flatnonzero(np.diff(labels)) + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [labels.size]))
-        segments = [(int(s), int(e), int(labels[s])) for s, e in zip(starts, ends)]
-        return cls(frame_labels=labels, segments=segments, n_frames=int(labels.size))
+        return cls(frame_labels=labels)
+
+    @property
+    def n_frames(self) -> int:
+        return int(self.frame_labels.size)
+
+    @property
+    def segments(self) -> list[tuple[int, int, int]]:
+        """Runs of equal labels as (start, end, label), end exclusive."""
+        labels = self.frame_labels
+        edges = [0, *(np.flatnonzero(np.diff(labels)) + 1).tolist(), labels.size]
+        return [(s, e, int(labels[s])) for s, e in zip(edges, edges[1:])]
 
     def to_dict(self) -> dict:
         return {

@@ -15,23 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .kernels import KernelSpec, _as_2d, _stacked_kernel
+from .kernels import KernelSpec, _as_pair, _stacked_kernel
 
 __all__ = ["mmd2_terms", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
-
-
-def _as_pair(x, y, who: str):
-    x, y = _as_2d(x), _as_2d(y)
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"{who}: dimension mismatch {x.shape[1]} vs {y.shape[1]}")
-    return x, y
-
-
-def _as_weights(weights, m: int) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (m,):
-        raise ShapeError(f"expected {m} weights, got shape {weights.shape}")
-    return weights
 
 
 def mmd2_terms(x: np.ndarray, y: np.ndarray, spec: KernelSpec,
@@ -69,9 +55,11 @@ def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndar
     """
     x, y = _as_pair(x, y, "mmd2_grad_y")
     n, m = x.shape[0], y.shape[0]
-    w = _as_weights(weights, m)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (m,):
+        raise ShapeError(f"expected {m} weights, got shape {w.shape}")
 
-    _, u, v = _stacked_kernel(x, y, spec, x_rows, grad=True)
+    u, v = _stacked_kernel(x, y, spec, x_rows, grad=True)
     grad_self = u[:m].T @ (w[:, None] * y) + (w @ v[:m])[:, None] * y
     grad_cross = u[m:].T @ x + v[m:].sum(axis=0)[:, None] * y
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)

@@ -141,6 +141,18 @@ class TestSegment:
                      "--out", str(tmp_path / "o.json")]) == 3
         assert "DegenerateScaleError" in capsys.readouterr().err
 
+    def test_one_frame_names_the_missing_scale_and_uniform_still_segments(self, tmp_path, capsys):
+        feat = tmp_path / "one_features.txt"
+        save_features(feat, np.array([[0.5, 0.25, 1.0]]))
+        out = tmp_path / "o.json"
+        assert main(["segment", "--features", str(feat), "--m", "1", "--out", str(out)]) == 3
+        assert ("[DegenerateScaleError]: a video of one frame has no pairwise distance"
+                in capsys.readouterr().err)
+        assert main(["segment", "--features", str(feat), "--m", "1",
+                     "--baseline", "uniform", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["frame_labels"] == [0] and payload["segments"] == [{"start": 0, "end": 1, "label": 0}]
+
     def test_m_exceeding_frames_exit_3(self, tmp_path):
         feat, _ = write_blob_video(tmp_path, n_a=2, n_b=2)
         assert main(["segment", "--features", str(feat), "--m", "9",
@@ -444,6 +456,17 @@ class TestRandm:
         assert main(["randm", "--features-dir", str(data), "--mbar", mbar, "--mode", mode,
                      "--out", str(tmp_path / "o.csv")]) == 3
         assert f"[ValueError]: --mbar must be at least 1, got {mbar}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_3(self, tmp_path, capsys, jobs):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_blob_video(data, name="v0")
+        out = tmp_path / "o.csv"
+        assert main(["randm", "--features-dir", str(data), "--mbar", "2", "--jobs", jobs,
+                     "--out", str(out)]) == 3
+        assert f"[ValueError]: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_labels_exit_3(self, tmp_path):
         data = tmp_path / "data"

@@ -41,8 +41,9 @@ def nngp_ntk(a, b, spec):
 
 def grad_b(a, b, spec):
     """grad_b k(a_i, b_j) for every pair, shape (len(a), len(b), d), from the
-    coefficient matrices of ``_kernel``: U[i, j] a_i + W[i, j] b_j."""
-    _, u, w = kernels._kernel(a, b, spec, grad=True)
+    coefficient matrices of the trainer's own pass, the cross block of
+    ``_stacked_kernel``: U[i, j] a_i + W[i, j] b_j."""
+    u, w = (c[len(b):] for c in kernels._stacked_kernel(a, b, spec, kernels.row_stats(a, spec), grad=True))
     return u[:, :, None] * a[:, None, :] + w[:, :, None] * b[None, :, :]
 
 
@@ -187,7 +188,7 @@ class TestResolveSpec:
             assert got == (1.4478496238737182, *expected[family]), family
 
     def test_one_row_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateScaleError, match="one frame has no pairwise distance"):
             resolve_spec(np.ones((1, 3)), KernelSpec())
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -500,8 +501,8 @@ class TestKernelMatrix:
 
 
 class TestKernelGradB:
-    """The coefficient matrices of ``_kernel(a, b, spec, grad=True)`` over
-    every pair of several rows, as ``mmd2_grad_y`` consumes them."""
+    """The coefficient matrices of the cross block of ``_stacked_kernel``
+    over every pair of several rows, as ``mmd2_grad_y`` consumes them."""
 
     @staticmethod
     def assert_matches_finite_differences(a, b, spec, h):

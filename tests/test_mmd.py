@@ -16,10 +16,10 @@ from mmdseg import (
 )
 from mmdseg import learner
 from mmdseg.errors import NumericError, ShapeError
-from mmdseg.kernels import SPHERE_FAMILIES, _kernel, _stacked_kernel
+from mmdseg.kernels import SPHERE_FAMILIES, _stacked_kernel
 from mmdseg.mmd import mmd2_from_terms, mmd2_terms, simplex_weights
 
-from oracles import finite_diff_grad, mmd2_triple_loop, simplex_qp_by_supports
+from oracles import finite_diff_grad, mmd2_triple_loop, scalar_kernel_value, simplex_qp_by_supports
 
 
 def spec_for(family):
@@ -113,6 +113,28 @@ class TestMmd2GradY:
                 assert mmd2(x, y - step * grad, spec) < base, family
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_mmd_and_gradient_match_the_oracles_at_any_row_norm(family, n, c):
+    # n frames and m = n prototypes in d = 3, every row of norm c, with the
+    # spec scaled along as resolve_spec would scale it: a lengthscale of 2c,
+    # an input scale of 1/c for the raw NTK families and sqrt(d) for the
+    # _sphere ones, which see unit rows.
+    d = 3
+    rows = make_rng(73, n).normal(size=(2 * n, d))
+    rows *= c / np.linalg.norm(rows, axis=1, keepdims=True)
+    x, y = rows[:n], rows[n:]
+    r = math.sqrt(d) if family in SPHERE_FAMILIES else 1.0 if family == "gauss" else 1.0 / c
+    spec = KernelSpec(family=family, lengthscale=2.0 * c, alpha=1.3, input_scale=r)
+    expected = [[scalar_kernel_value(a, b, spec) for b in rows] for a in rows]
+    np.testing.assert_allclose(kernel_matrix(rows, rows, spec), expected, rtol=1e-9, atol=1e-12)
+    assert mmd2(x, y, spec) == pytest.approx(mmd2_triple_loop(x, y, spec), rel=1e-8, abs=1e-10)
+    grad = mmd2_grad_y(x, y, spec, np.full(n, 1.0 / n), row_stats(x, spec))
+    fd = finite_diff_grad(lambda m: mmd2(x, m, spec), y, 1e-5 * c)
+    assert np.max(np.abs(grad - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
 def simplex_point(rng, m):
     w = rng.uniform(0.05, 1.0, m)
     return w / w.sum()
@@ -171,7 +193,7 @@ def test_row_sets_without_rows_are_rejected(x_rows, y_rows):
 
 class TestStackedPass:
     """The trainer's kernel pass: ``[Kyy; Kxy]`` from one pass over the
-    stacked Gram products, bit-equal to two separate ``_kernel`` calls."""
+    stacked Gram products, bit-equal to two separate ``kernel_matrix`` calls."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bit_equal_to_separate_calls(self, family):
@@ -180,14 +202,9 @@ class TestStackedPass:
         y = rng.normal(size=(5, 9))  # two diagonal distances of 1e-15 unless zeroed
         # n > m, a cross block equal to y (m = n, the untrained case), and n = m unequal.
         for x in (y.copy(), rng.normal(size=(7, 9)), rng.normal(size=(5, 9))):
-            for grad in (False, True):
-                stacked = _stacked_kernel(x, y, spec, row_stats(x, spec), grad)
-                yy, xy = _kernel(y, y, spec, grad), _kernel(x, y, spec, grad)
-                if not grad:
-                    stacked, yy, xy = (stacked,), (yy,), (xy,)
-                for got, self_block, cross in zip(stacked, yy, xy):
-                    assert np.array_equal(got[:5], self_block), family
-                    assert np.array_equal(got[5:], cross), family
+            stacked = _stacked_kernel(x, y, spec, row_stats(x, spec))
+            assert np.array_equal(stacked[:5], kernel_matrix(y, y, spec)), family
+            assert np.array_equal(stacked[5:], kernel_matrix(x, y, spec)), family
 
     def test_diagonal_distances_are_zero(self):
         # Kyy's diagonal always, Kxy's only when x equals y. On these rows the

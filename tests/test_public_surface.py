@@ -3,8 +3,9 @@
 The package ships only what its pipeline and its command line run, so each
 exported name must be referenced somewhere in ``src/mmdseg`` outside its
 own definition. A re-export in ``__init__.py`` is not a use, and neither is
-an import that nothing reads. The kernel's closed form has one caller, so
-no second copy of the kernel can grow beside its one elementwise chain.
+an import that nothing reads. The kernel's closed form has one caller and
+its elementwise chain three, so no second copy of the kernel, and no
+second way into it, can grow beside the chain.
 """
 
 import ast
@@ -61,3 +62,13 @@ def test_the_arccos_form_has_one_caller():
                for node in ast.walk(stmt)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_arccos_form"]
     assert callers == [("kernels", "_kernel_core")]
+
+
+def test_the_kernel_chain_has_three_callers():
+    # Values, the trainer's stacked pass and the scales: no second way into
+    # ``kernels._kernel_core``.
+    callers = [(module, getattr(stmt, "name", None)) for module, tree in _trees().items() for stmt in tree.body
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kernel_core"]
+    assert sorted(callers) == [("kernels", "_stacked_kernel"), ("kernels", "kernel_matrix"),
+                               ("kernels", "resolve_spec")]
