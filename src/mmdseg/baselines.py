@@ -7,6 +7,8 @@ approximation (uniform weights) whose prototypes are the centroids.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .learner import Segmentation, uniform_spans
@@ -47,8 +49,10 @@ def _kmeans_pp_seed(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
 def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm; returns (centroids, labels).
 
-    Empty clusters are re-seeded to the point farthest from its assigned
-    centroid. The within-cluster sum of squares is checked to be
+    Each empty cluster is re-seeded to a different point: the one farthest
+    from its assigned centroid among the points whose cluster keeps another
+    member, so no reseed empties a cluster (there are at least m points).
+    The within-cluster sum of squares is checked to be finite and
     non-increasing at every iteration.
     """
     frames = np.asarray(frames, dtype=np.float64)
@@ -63,17 +67,20 @@ def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator) -> tu
         new_labels = np.argmin(dists, axis=1)
         closest = dists[np.arange(n), new_labels]
 
-        # Re-seed empty clusters before the update step.
-        for j in range(m):
-            if not np.any(new_labels == j):
-                far = int(np.argmax(closest))
-                centroids[j] = frames[far]
-                new_labels[far] = j
-                closest[far] = 0.0
+        # Re-seed empty clusters before the update step, each from a different
+        # frame of a cluster that keeps a member.
+        counts = np.bincount(new_labels, minlength=m)
+        for j in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[new_labels] > 1, closest, -1.0)))
+            counts[new_labels[far]] -= 1
+            counts[j] = 1
+            centroids[j] = frames[far]
+            new_labels[far] = j
+            closest[far] = 0.0
 
         obj = float(closest.sum())
-        if obj > prev_obj + 1e-9 * max(1.0, abs(prev_obj)):
-            raise AssertionError(f"k-means objective increased: {prev_obj} -> {obj}")
+        if not (math.isfinite(obj) and obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj))):
+            raise AssertionError(f"k-means objective increased or is not finite: {prev_obj} -> {obj}")
         prev_obj = obj
         if labels is not None and np.array_equal(labels, new_labels):
             break

@@ -264,6 +264,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"gen": cmd_gen, "segment": cmd_segment, "eval": cmd_eval, "randm": cmd_randm}
     try:
+        if getattr(args, "boundary_tol", 0) < 0:  # segment, eval and randm, before any work
+            raise ValueError(f"--boundary-tol must be nonnegative, got {args.boundary_tol}")
         return handlers[args.command](args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,11 +49,14 @@ Gradients with respect to the second argument decompose as
     grad_b k(a, b) = U(a, b) * a + W(a, b) * b
 
 for scalar coefficient fields U, W. Every family goes through one
-elementwise chain, ``_kernel_core``. It reads a Gram product and the
-``row_stats`` of both row sets (squared row norms, and for the ``_sphere``
-NTK the row norms it divides the product by to get its cosines) and returns,
-in one pass, either the kernel values or the full coefficient matrices, so
-that MMD gradients reduce to matrix products. It has three callers.
+elementwise chain, ``_kernel_core``, which holds the closed form above,
+written once. It reads a Gram product and the ``row_stats`` of both row
+sets (squared row norms, and for the ``_sphere`` NTK the row norms it
+divides the product by to get its cosines) and returns, in one pass,
+either the kernel values or the full coefficient matrices, so that MMD
+gradients reduce to matrix products. Each pass forms only what it
+returns: a gradient pass forms NTK values only for the product rule of
+the product families. It has three callers.
 ``kernel_matrix`` forms one Gram product and both row sets' stats per call
 and takes the values. The trainer goes through ``_stacked_kernel``: one
 pass over the Gram products ``y @ y.T`` and ``x @ y.T`` stacked into an
@@ -201,43 +204,6 @@ def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.exp(sqdist, out=sqdist)
 
 
-def _arccos_form(k0_ab: np.ndarray, p: np.ndarray, spec: KernelSpec, nngp_only: bool = False,
-                 grad=None):
-    """NTK (or NNGP) values from K0(a, b) and p = sqrt(K0(a, a) K0(b, b)),
-    elementwise on any shape.
-
-    With ``grad = (s, k0_aa)``, where K0 = s <a, b> + sb2 and ``k0_aa`` is the
-    column of K0(a_i, a_i), also returns (U, W) of grad_b for raw rows.
-    """
-    if np.any(p == 0.0):
-        raise DegenerateInputError(
-            "NTK closed form undefined for a zero-variance input (zero row with sigma_b_sq = 0)"
-        )
-    c_raw = k0_ab / p
-    lo, hi = -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS
-    c = np.clip(c_raw, lo, hi)
-    pi_m_t = math.pi - np.arccos(c)
-    sin_t = np.sqrt(1.0 - c * c)
-    coef = spec.sigma_w_sq / (2.0 * math.pi)
-    g = sin_t + pi_m_t * c
-    nngp = coef * p * g + spec.sigma_b_sq
-    ntk_dot = coef * pi_m_t
-    values = nngp if nngp_only else nngp + k0_ab * ntk_dot
-    if grad is None:
-        return values
-    s, k0_aa = grad
-    gate = ((c_raw > lo) & (c_raw < hi)).astype(np.float64)
-    u = coef * pi_m_t * gate * s
-    w = coef * s * k0_aa / p * (g - pi_m_t * gate * c_raw)
-    if nngp_only:
-        return values, u, w
-    # d(pi - theta)/dc = 1/sin(theta); the clamp gate keeps it finite.
-    dot_c = coef * gate / sin_t
-    u_dot = dot_c * s / p
-    w_dot = -dot_c * c_raw * s * k0_aa / (p * p)
-    return values, u + ntk_dot * s + k0_ab * u_dot, w + k0_ab * w_dot
-
-
 def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: int,
                  n_self: int, spec: KernelSpec, grad: bool):
     """The kernel's one elementwise chain: the values, or with ``grad`` only
@@ -253,6 +219,16 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
     sees the rows divided by their norms, so it reads the cosines
     ``gram / outer(|a|, |b|)``, with squared norms of exactly 1 and a
     cosine of exactly 1 wherever the distance is zeroed.
+
+    The NTK closed form (module docstring) is written here once: K0 over
+    the product, p = sqrt(K0(a, a) K0(b, b)) from the row stats (zero p is a
+    ``DegenerateInputError``), the clamped cosine, theta = arccos(c), the
+    NNGP, and for every family but ``nngp`` the dot term
+    K0(a, b) * sw2 * (pi - theta) / (2 pi). A value pass forms the values
+    only. A gradient pass forms U and W, with the clamp gate zeroing the
+    path through theta wherever the raw cosine left the clamped interval;
+    it forms the NTK values only for the product families, whose product
+    rule reads them.
     """
     family = spec.family
     sphere = family in SPHERE_FAMILIES
@@ -277,16 +253,39 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
     # K0 takes over the Gram buffer unless the sphere gradient still needs the cosines.
     k0_ab = np.multiply(gram, s, out=None if sphere and grad else gram)
     k0_ab += spec.sigma_b_sq
-    out = _arccos_form(k0_ab, p, spec, family == "nngp", (s, k0_aa[:, None]) if grad else None)
-    if not grad:
-        return out if kg is None else spec.alpha * out * kg
-    kn, un, wn = out
+    if np.any(p == 0.0):
+        raise DegenerateInputError(
+            "NTK closed form undefined for a zero-variance input (zero row with sigma_b_sq = 0)"
+        )
+    c_raw = k0_ab / p
+    lo, hi = -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS
+    c = np.clip(c_raw, lo, hi)
+    pi_m_t = math.pi - np.arccos(c)
+    sin_t = np.sqrt(1.0 - c * c)
+    coef = spec.sigma_w_sq / (2.0 * math.pi)
+    g = sin_t + pi_m_t * c
+    ntk_dot = None if family == "nngp" else coef * pi_m_t  # the NTK adds K0(a, b) * ntk_dot
+    if not grad or kg is not None:  # the values, which the product rule reads too
+        kn = coef * p * g + spec.sigma_b_sq
+        if ntk_dot is not None:
+            kn += k0_ab * ntk_dot
+        if not grad:
+            return kn if kg is None else spec.alpha * kn * kg
+    gate = ((c_raw > lo) & (c_raw < hi)).astype(np.float64)
+    u = coef * pi_m_t * gate * s
+    w = coef * s * k0_aa[:, None] / p * (g - pi_m_t * gate * c_raw)
+    if ntk_dot is not None:
+        # d(pi - theta)/dc = 1/sin(theta); the clamp gate keeps it finite.
+        dot_c = coef * gate / sin_t
+        u_dot = dot_c * s / p
+        w_dot = -dot_c * c_raw * s * k0_aa[:, None] / (p * p)
+        u, w = u + ntk_dot * s + k0_ab * u_dot, w + k0_ab * w_dot
     if sphere:
         # Tangential projection kills the b-hat component of the upstream gradient.
-        un, wn = un / (na[:, None] * nb[None, :]), -un * gram / (nb[None, :] ** 2)
+        u, w = u / (na[:, None] * nb[None, :]), -u * gram / (nb[None, :] ** 2)
     if kg is None:
-        return un, wn
-    return spec.alpha * (kg * un + kn * ug), spec.alpha * (kg * wn - kn * ug)
+        return u, w
+    return spec.alpha * (kg * u + kn * ug), spec.alpha * (kg * w - kn * ug)
 
 
 def _stacked_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec, x_rows: np.ndarray,
@@ -304,11 +303,10 @@ def _stacked_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec, x_rows: np.n
     when ``x`` equals ``y``.
     """
     m, n = y.shape[0], x.shape[0]
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    k = 2 if spec.family in SPHERE_FAMILIES else 1
-    if x_rows.shape != (k, n):
-        raise ShapeError(f"expected row stats of shape {(k, n)} for {n} rows, got {x_rows.shape}")
     rows_y = row_stats(y, spec)
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    if x_rows.shape != (len(rows_y), n):
+        raise ShapeError(f"expected row stats of shape {(len(rows_y), n)} for {n} rows, got {x_rows.shape}")
     n_self = 2 * m if np.array_equal(x, y) else m
     return _kernel_core(np.concatenate((y @ y.T, x @ y.T)), np.concatenate((rows_y, x_rows), axis=1),
                         rows_y, y.shape[1], n_self, spec, grad)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
 from .kernels import KernelSpec, kernel_matrix, resolve_spec
 from .mmd import mmd2_from_terms, mmd2_grad_y, mmd2_terms, simplex_weights
 from .numerics import make_rng
@@ -192,13 +191,9 @@ def assign(v: VideoFeatures, approx: Approximation) -> Segmentation:
     Under uniform weights (an untrained approximation) this is the most
     kernel-similar prototype. A prototype of zero weight never wins, even
     where every kernel value is negative (the NTK can be). Ties break to the
-    lowest index.
+    lowest index. Features and prototypes of different widths are the
+    ``ShapeError`` of ``kernel_matrix``.
     """
-    if v.frames.shape[1] != approx.prototypes.shape[1]:
-        raise ShapeError(
-            f"assign: features are {v.frames.shape[1]}-D but prototypes are "
-            f"{approx.prototypes.shape[1]}-D"
-        )
     sims = kernel_matrix(v.frames, approx.prototypes, approx.spec)
     sims = np.where(approx.weights > 0.0, sims * approx.weights, -np.inf)
     return Segmentation.from_labels(np.argmax(sims, axis=1))

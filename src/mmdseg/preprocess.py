@@ -5,8 +5,9 @@ File formats
 ------------
 Features: UTF-8 text, one frame per non-blank line, floats split on commas
 if the line has any, else on whitespace; an empty field is an error.
-Labels: one token per line; integer tokens are used as-is, otherwise all
-tokens are interned to integers in first-appearance order.
+Labels: UTF-8 text, one token per non-blank line; integer tokens are used
+as-is and must fit int64, otherwise all tokens are interned to integers in
+first-appearance order.
 """
 
 from __future__ import annotations
@@ -66,19 +67,22 @@ def load_features(path, labels_path=None) -> VideoFeatures:
     """
     path = Path(path)
     rows: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
-            if rows and row.size != rows[0].size:
-                raise ParseError(f"{path}:{lineno}: expected {rows[0].size} values, got {row.size}")
-            if not np.all(np.isfinite(row)):
-                raise ParseError(f"{path}:{lineno}: non-finite feature values")
-            rows.append(row)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
+                if rows and row.size != rows[0].size:
+                    raise ParseError(f"{path}:{lineno}: expected {rows[0].size} values, got {row.size}")
+                if not np.all(np.isfinite(row)):
+                    raise ParseError(f"{path}:{lineno}: non-finite feature values")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise ParseError(f"{path}: no feature rows found")
     labels = load_labels(labels_path) if labels_path is not None else None
@@ -86,22 +90,32 @@ def load_features(path, labels_path=None) -> VideoFeatures:
 
 
 def load_labels(path) -> np.ndarray:
+    """Read a label file: one token per non-blank line. An integer token
+    outside int64, and a file that is not UTF-8, are each a ``ParseError``
+    naming the file (and the line, for the integer)."""
     path = Path(path)
-    tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tok = line.strip()
-            if tok:
-                tokens.append(tok)
+    tokens, linenos = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if tok := line.strip():
+                    tokens.append(tok)
+                    linenos.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not tokens:
         raise ParseError(f"{path}: no labels found")
     try:
-        return np.asarray([int(t) for t in tokens], dtype=np.int64)
+        ints = [int(t) for t in tokens]
     except ValueError:
         interned: dict[str, int] = {}
         for t in tokens:
             interned.setdefault(t, len(interned))
         return np.asarray([interned[t] for t in tokens], dtype=np.int64)
+    for lineno, value in zip(linenos, ints):
+        if not -2**63 <= value < 2**63:
+            raise ParseError(f"{path}:{lineno}: label {value} is outside int64")
+    return np.asarray(ints, dtype=np.int64)
 
 
 def save_features(path, frames: np.ndarray) -> None:

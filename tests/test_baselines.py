@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,17 @@ class TestKmeans:
         a = kmeans_centroids(frames, 4, make_rng(7))
         b = kmeans_centroids(frames, 4, make_rng(7))
         assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_fewer_distinct_frames_than_m(self, m):
+        # Three distinct frames, each held for ten: every reseed must take a
+        # different frame and leave its donor cluster a member.
+        frames = np.repeat(make_rng(0).normal(size=(3, 8)), 10, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centroids, labels = kmeans_centroids(frames, m, make_rng(0, 10))
+        assert np.all(np.isfinite(centroids))
+        assert sorted(set(labels.tolist())) == list(range(m))
 
 
 class TestKernelKmeansAssign:

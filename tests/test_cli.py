@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmdseg.cli as cli
 from mmdseg.cli import draw_m, main
 from mmdseg.numerics import make_rng
 from mmdseg.preprocess import save_features, save_labels
@@ -152,6 +153,33 @@ class TestSegment:
                      "--baseline", "uniform", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["frame_labels"] == [0] and payload["segments"] == [{"start": 0, "end": 1, "label": 0}]
+
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["no-labels", "labels"])
+    def test_negative_boundary_tol_exit_3_before_training(self, tmp_path, capsys, with_labels):
+        feat, labs = write_blob_video(tmp_path)
+        out = tmp_path / "o.json"
+        labels = ["--labels", str(labs)] if with_labels else []
+        assert main(["segment", "--features", str(feat), *labels, "--m", "2", "--boundary-tol", "-1",
+                     "--out", str(out)]) == 3
+        assert "[ValueError]: --boundary-tol must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999"])
+    def test_label_outside_int64_exit_2(self, tmp_path, capsys, token):
+        feat, labs = write_blob_video(tmp_path)
+        labs.write_text(labs.read_text().replace("0\n", f"{token}\n", 1))
+        assert main(["segment", "--features", str(feat), "--labels", str(labs), "--m", "2",
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert f"{labs}:1: label {token} is outside int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["features", "labels"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, which):
+        feat, labs = write_blob_video(tmp_path)
+        bad = {"features": feat, "labels": labs}[which]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        assert main(["segment", "--features", str(feat), "--labels", str(labs), "--m", "2",
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
 
     def test_m_exceeding_frames_exit_3(self, tmp_path):
         feat, _ = write_blob_video(tmp_path, n_a=2, n_b=2)
@@ -326,6 +354,26 @@ class TestEval:
                      "--out", str(tmp_path / "r.json")]) == 2
         assert f"{pred}: 'frame_labels' must be a JSON array of int64 integers" in capsys.readouterr().err
 
+    def test_label_outside_int64_exit_2(self, tmp_path, capsys):
+        labs = tmp_path / "l_labels.txt"
+        labs.write_text("0\n99999999999999999999\n1\n")
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"name": "v", "frame_labels": [0, 1, 1]}))
+        assert main(["eval", "--pred", str(pred), "--labels", str(labs),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert f"{labs}:2: label 99999999999999999999 is outside int64" in capsys.readouterr().err
+
+    def test_negative_boundary_tol_exit_3(self, tmp_path, capsys):
+        labs = tmp_path / "l_labels.txt"
+        save_labels(labs, [0, 1, 1])
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"name": "v", "frame_labels": [0, 1, 1]}))
+        out = tmp_path / "r.json"
+        assert main(["eval", "--pred", str(pred), "--labels", str(labs), "--boundary-tol", "-2",
+                     "--out", str(out)]) == 3
+        assert "[ValueError]: --boundary-tol must be nonnegative, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_aggregate_writes_csv_with_mean_row(self, tmp_path):
         rows = [{"video": "a", "mof": 0.5, "iou": 0.25, "f1": 0.4, "boundary_accuracy": 1.0,
                  "label_map": {}, "per_class": {}},
@@ -467,6 +515,18 @@ class TestRandm:
                      "--out", str(out)]) == 3
         assert f"[ValueError]: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_boundary_tol_exit_3(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        write_blob_video(data, name="v0")
+        trained = []
+        monkeypatch.setattr(cli, "_randm_task", trained.append)
+        out = tmp_path / "o.csv"
+        assert main(["randm", "--features-dir", str(data), "--mbar", "2", "--boundary-tol", "-1",
+                     "--out", str(out)]) == 3
+        assert "[ValueError]: --boundary-tol must be nonnegative, got -1" in capsys.readouterr().err
+        assert trained == [] and not out.exists()
 
     def test_missing_labels_exit_3(self, tmp_path):
         data = tmp_path / "data"

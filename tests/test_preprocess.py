@@ -101,6 +101,27 @@ class TestLoadFeatures:
         save_labels(p, [3, 1, 2, 2])
         assert np.array_equal(load_labels(p), [3, 1, 2, 2])
 
+    @pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999"])
+    def test_integer_label_outside_int64_reports_line(self, tmp_path, token):
+        p = tmp_path / "labels.txt"
+        p.write_text(f"1\n\n{token}\n2\n")
+        with pytest.raises(ParseError, match=rf"labels\.txt:3: label {token} is outside int64"):
+            load_labels(p)
+        p.write_text(f"{-2**63}\n{2**63 - 1}\n")  # the limits themselves are kept
+        assert np.array_equal(load_labels(p), [-2**63, 2**63 - 1])
+
+    def test_non_utf8_label_file_names_the_file(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_bytes(b"0\n1\xff\n")
+        with pytest.raises(ParseError, match=r"labels\.txt: not UTF-8 text"):
+            load_labels(p)
+
+    def test_non_utf8_feature_file_names_the_file(self, tmp_path):
+        p = tmp_path / "feat.txt"
+        p.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(ParseError, match=r"feat\.txt: not UTF-8 text"):
+            load_features(p)
+
 
 class TestL2Normalize:
     def test_three_four_five(self):
