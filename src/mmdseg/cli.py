@@ -244,7 +244,8 @@ def cmd_randm(args) -> int:
                       args.profile, args.mode, train_seed, args.boundary_tol))
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # The fork start method starts every worker at the first submit.
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_randm_task, tasks))
     else:
         rows = [_randm_task(t) for t in tasks]

@@ -38,7 +38,9 @@ median from one Gram product of the raw sample. Its NTK factor is no copy
 of the kernel: ``_kernel_core`` runs over that product in blocks of
 ``RESOLVE_BLOCK`` rows. It returns the sample, the resolved kernel's mean
 over it (the trainer's mean(Kxx), exactly the mean of ``kernel_matrix`` on
-the sample) and the row stats of the frames and of the sample.
+the sample), the row stats of the frames and of the sample, and, when the
+sample is every frame, that Gram product G = X X^T of the frames, which the
+trainer reads in place of the frames' rows.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -58,12 +60,15 @@ gradients reduce to matrix products. Each pass forms only what it
 returns: a gradient pass forms NTK values only for the product rule of
 the product families. It has three callers.
 ``kernel_matrix`` forms one Gram product and both row sets' stats per call
-and takes the values. The trainer goes through ``_stacked_kernel``: one
-pass over the Gram products ``y @ y.T`` and ``x @ y.T`` stacked into an
-(m + n) x m array gives Kyy and Kxy together (their values for the loss
-terms, their coefficients for a step), with the batch's row stats taken
-from ones the trainer formed once per video. ``resolve_spec`` runs the
-chain over a frame sample for the scales.
+and takes the values. The trainer goes through ``_stacked_kernel``, which
+reads no rows: one pass over the Gram blocks ``y @ y.T`` and ``x @ y.T``
+stacked into an (m + n) x m array gives Kyy and Kxy together (their values
+for the loss terms, their coefficients for a step), from the row stats of
+both sets. Its callers form the blocks from rows, or, for prototypes held
+in the frames' span as ``Y = C X``, from G alone: ``y @ y.T = H C^T`` and
+``x @ y.T`` the batch's columns of ``H = C G``, transposed, with the
+prototypes' squared norms ``sum(H * C)`` (``_span_row_stats``).
+``resolve_spec`` runs the chain over a frame sample for the scales.
 """
 
 from __future__ import annotations
@@ -288,28 +293,38 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
     return spec.alpha * (kg * u + kn * ug), spec.alpha * (kg * w - kn * ug)
 
 
-def _stacked_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec, x_rows: np.ndarray,
-                   grad: bool = False):
-    """The kernel of the rows of ``y`` stacked above those of ``x``, against
-    ``y``: rows ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(y)``;
-    with ``grad``, the coefficients (U, W) of both blocks in place of the
-    values.
+def _stacked_kernel(yy: np.ndarray, xy: np.ndarray, y_rows: np.ndarray, x_rows: np.ndarray,
+                    d: int, spec: KernelSpec, x_is_y: bool = False, grad: bool = False):
+    """The kernel of rows ``y`` stacked above rows ``x``, against ``y``, from
+    their Gram blocks ``yy = y @ y.T`` and ``xy = x @ y.T`` and their
+    ``row_stats`` ``y_rows`` and ``x_rows``, for rows of dimension ``d``:
+    rows ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(yy)``; with
+    ``grad``, the coefficients (U, W) of both blocks in place of the values.
 
-    One pass of ``_kernel_core`` over the stacked Gram products ``y @ y.T``
-    and ``x @ y.T``, an (m + n) x m array; ``x`` itself is never copied.
-    ``x_rows`` is ``row_stats(x, spec)``, which the caller may hold already.
+    One pass of ``_kernel_core`` over the stacked (m + n) x m array; no row
+    is read, so the blocks may come from the rows themselves or from any
+    basis that keeps their inner products (the trainer's frame span).
     Every value equals that of ``kernel_matrix(y, y)`` and
-    ``kernel_matrix(x, y)``: Kyy's diagonal distances are zero, and Kxy's
-    when ``x`` equals ``y``.
+    ``kernel_matrix(x, y)`` on blocks formed from the rows: Kyy's diagonal
+    distances are zero, and Kxy's when ``x_is_y`` (``x`` equals ``y``).
     """
-    m, n = y.shape[0], x.shape[0]
-    rows_y = row_stats(y, spec)
+    m, n = yy.shape[0], xy.shape[0]
     x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.shape != (len(rows_y), n):
-        raise ShapeError(f"expected row stats of shape {(len(rows_y), n)} for {n} rows, got {x_rows.shape}")
-    n_self = 2 * m if np.array_equal(x, y) else m
-    return _kernel_core(np.concatenate((y @ y.T, x @ y.T)), np.concatenate((rows_y, x_rows), axis=1),
-                        rows_y, y.shape[1], n_self, spec, grad)
+    if x_rows.shape != (len(y_rows), n):
+        raise ShapeError(f"expected row stats of shape {(len(y_rows), n)} for {n} rows, got {x_rows.shape}")
+    return _kernel_core(np.concatenate((yy, xy)), np.concatenate((y_rows, x_rows), axis=1), y_rows, d,
+                        2 * m if x_is_y else m, spec, grad)
+
+
+def _span_row_stats(c: np.ndarray, h: np.ndarray, frames: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """``row_stats`` of the rows ``c @ frames`` from ``h = c @ frames @ frames.T``
+    without forming them: their squared norms are ``sum(h * c)``. When one
+    of those leaves the normal range (zero, subnormal, rounded below zero,
+    inf or NaN) the rows are formed and measured as ``row_stats`` does."""
+    sq = np.sum(h * c, axis=1)
+    if np.any(_extreme(sq)):
+        return row_stats(c @ frames, spec)
+    return sq[None, :] if spec.family not in SPHERE_FAMILIES else np.stack((sq, np.sqrt(sq)))
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -327,14 +342,16 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,
                  rng: np.random.Generator | None = None):
     """Freeze the data-derived parameters of ``spec`` for one video; returns
-    ``(spec, sample, kxx_mean, frame_rows, sample_rows)``.
+    ``(spec, sample, kxx_mean, frame_rows, sample_rows, gram)``.
 
     One pass over one sample: ``sample`` holds at most ``MAX_SCALE_FRAMES``
     frames (a view of all frames when they fit, else a seeded draw kept in
     order). ``frame_rows`` is ``row_stats`` of all frames and
     ``sample_rows`` its columns for the sample, which the trainer reuses.
     One Gram product of the sample's raw rows with the squared row norms
-    gives the pair distances. Over the distinct pairs come
+    gives the pair distances; ``gram`` is that product, intact, when the
+    sample is every frame (the trainer's frame span), else None. Over the
+    distinct pairs come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -353,9 +370,10 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     The NTK factor runs through ``_kernel_core``, as every kernel value
     does, so K0(a, a) comes from the squared row norms. It takes blocks of
     ``RESOLVE_BLOCK`` sample rows against the columns from the block's first
-    row on, each written over the part of the Gram product it consumed and
-    mirrored below the block. ``kxx_mean`` is the resolved kernel's mean
-    over all ordered pairs of the sample, diagonal included, equal to
+    row on, each written over the part of the Gram product it consumed (of a
+    copy, when ``gram`` is returned) and mirrored below the block.
+    ``kxx_mean`` is the resolved kernel's mean over all ordered pairs of the
+    sample, diagonal included, equal to
     ``kernel_matrix(sample, sample, spec).mean()``: the mean(Kxx) of the
     trainer's loss.
 
@@ -368,9 +386,8 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
         raise DegenerateScaleError("a video of one frame has no pairwise distance to take a scale from")
     rng = rng if rng is not None else make_rng(0)
     family = spec.family
-    keep = slice(None)
-    if n > MAX_SCALE_FRAMES:
-        keep = np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
+    whole = n <= MAX_SCALE_FRAMES  # the sample is every frame
+    keep = slice(None) if whole else np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
     frame_rows = row_stats(x, spec)
     sample, sample_rows = x[keep], frame_rows[:, keep]
     m, sq = sample.shape[0], sample_rows[0]
@@ -396,10 +413,11 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
             raise DegenerateScaleError("median squared row norm is zero (are most frames all-zero?)")
         resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
         ntk = replace(resolved, family=family.removeprefix("gauss_"))
-        kn = gram  # a block reads only product entries that no earlier block wrote
+        # A block reads only product entries that no earlier block wrote.
+        kn = gram.copy() if whole else gram
         for lo in range(0, m, RESOLVE_BLOCK):
             hi = min(lo + RESOLVE_BLOCK, m)
-            kn[lo:hi, lo:] = _kernel_core(gram[lo:hi, lo:], sample_rows[:, lo:hi], sample_rows[:, lo:],
+            kn[lo:hi, lo:] = _kernel_core(kn[lo:hi, lo:], sample_rows[:, lo:hi], sample_rows[:, lo:],
                                           d, hi - lo, ntk, grad=False)
             kn[hi:, lo:hi] = kn[lo:hi, hi:].T
         if family in PRODUCT_FAMILIES:
@@ -418,4 +436,4 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     kxx_mean = float(np.mean(k))
     if not math.isfinite(kxx_mean):
         raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
-    return resolved, sample, kxx_mean, frame_rows, sample_rows
+    return resolved, sample, kxx_mean, frame_rows, sample_rows, gram if whole else None

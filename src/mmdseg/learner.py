@@ -10,6 +10,12 @@ contributes most to the approximation's kernel mean at them, and runs of
 equal labels become the predicted segments. Nothing forces every prototype
 to win frames (a weight may fall to zero), so the number of realized
 segments can fall below M.
+
+Every step keeps each prototype in the span of the frames X, Y = C X. A
+video of at most ``MAX_SCALE_FRAMES`` frames, fewer than its width, is
+therefore trained on the coefficients C: each step reads the frames' N x N
+Gram product instead of their rows. Longer or narrower videos train on the
+rows of Y. ``Approximation.prototypes`` holds rows either way (``C @ X``).
 """
 
 from __future__ import annotations
@@ -152,21 +158,43 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     frames and of the sample once per video, by ``resolve_spec`` (each batch
     takes its columns), and one stacked kernel pass, Kyy above Kxy, per
     gradient step and per loss evaluation.
+
+    Which representation runs reads only the frames' shape. A video of at
+    most ``MAX_SCALE_FRAMES`` frames, fewer than its width d, trains in the
+    frames' span: every step keeps each prototype a combination of the
+    frames, ``Y = C X``, so the prototypes are held as ``[C | H]`` with
+    ``H = C G`` and G = X X^T, the Gram product ``resolve_spec`` formed once.
+    A step reads its Gram blocks as ``H C^T`` and the batch's columns of
+    ``H``, and takes the same Euclidean step on Y written over the frames
+    (``mmd2_grad_y``); no step forms a product over the d-wide rows or an
+    m x N x N product. Before the loss terms of each epoch ``H = C G`` is
+    formed again, exactly. Every other video (a long one, or one with
+    N >= d) holds the rows of Y. Either way ``Approximation.prototypes`` is
+    the rows of Y: ``C @ X`` in the span, formed once at the end, and with
+    no epochs ``init_uniform_means`` itself.
     """
     frames = np.asarray(v.frames, dtype=np.float64)
-    n = frames.shape[0]
+    n, d = frames.shape
     if cfg.m > n:
         raise ValueError(f"m = {cfg.m} exceeds the {n} available frames")
 
     # Refit and loss run on the scale sample; each epoch's Kyy and Kxy give
     # both the logged loss and the refit weights.
-    spec, sample, kxx_mean, frame_rows, sample_rows = resolve_spec(frames, cfg.kernel,
-                                                                   make_rng(cfg.seed, 0))
-    prototypes = init_uniform_means(frames, cfg.m)
+    spec, sample, kxx_mean, frame_rows, sample_rows, gram = resolve_spec(frames, cfg.kernel,
+                                                                         make_rng(cfg.seed, 0))
+    init = init_uniform_means(frames, cfg.m)
+    span = (frames, gram) if gram is not None and n < d else None
+    if span is None:
+        y, sample_x = init, sample
+    else:  # [C | C G], C the uniform spans' averaging weights; the sample is every frame
+        c = np.zeros((cfg.m, n))
+        for j, (lo, hi) in enumerate(uniform_spans(n, cfg.m)):
+            c[j, lo:hi] = 1.0 / (hi - lo)
+        y, sample_x = np.hstack((c, c @ gram)), slice(None)
     rng_batches = make_rng(cfg.seed, 1)
 
     weights = np.full(cfg.m, 1.0 / cfg.m)
-    kyy, kxy_mean = mmd2_terms(sample, prototypes, spec, sample_rows)
+    kyy, kxy_mean = mmd2_terms(sample_x, y, spec, sample_rows, span)
     train_log = [mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights)]
     if cfg.epochs > 0:
         weights = simplex_weights(kyy, kxy_mean)
@@ -175,13 +203,19 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
         order = rng_batches.permutation(n)
         for lo in range(0, n, size):
             batch = order[lo:lo + size]
-            grad = mmd2_grad_y(frames[batch], prototypes, spec, weights, frame_rows[:, batch])
-            prototypes = (prototypes - cfg.learning_rate * grad
-                          - cfg.learning_rate * cfg.weight_decay * prototypes)
-        kyy, kxy_mean = mmd2_terms(sample, prototypes, spec, sample_rows)
+            if span is None:
+                grad = mmd2_grad_y(frames[batch], y, spec, weights, frame_rows[:, batch])
+            else:
+                grad = mmd2_grad_y(batch, y, spec, weights, frame_rows[:, batch], span)
+            y = y - cfg.learning_rate * grad - cfg.learning_rate * cfg.weight_decay * y
+        if span is not None:
+            y[:, n:] = y[:, :n] @ gram
+        kyy, kxy_mean = mmd2_terms(sample_x, y, spec, sample_rows, span)
         weights = simplex_weights(kyy, kxy_mean)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
-    return Approximation(prototypes=prototypes, spec=spec, train_log=train_log, weights=weights)
+    if span is not None:
+        y = y[:, :n] @ frames if cfg.epochs > 0 else init
+    return Approximation(prototypes=y, spec=spec, train_log=train_log, weights=weights)
 
 
 def assign(v: VideoFeatures, approx: Approximation) -> Segmentation:

@@ -15,17 +15,43 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .kernels import KernelSpec, _as_pair, _stacked_kernel
+from .kernels import KernelSpec, _as_pair, _span_row_stats, _stacked_kernel, row_stats
 
 __all__ = ["mmd2_terms", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 
+# A weight at or below this leaves the support when ``simplex_weights`` steps
+# back. Weights are dimensionless and sum to 1, so the largest stays above it.
+WEIGHT_FLOOR = 1e-12
 
-def mmd2_terms(x: np.ndarray, y: np.ndarray, spec: KernelSpec,
-               x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _kernel_pass(x, y, spec: KernelSpec, x_rows: np.ndarray, span=None, grad: bool = False):
+    """``_stacked_kernel`` over ``[y; x]`` against ``y``, from rows or in
+    the frames' span.
+
+    From rows: ``y @ y.T``, ``x @ y.T`` and the row stats of ``y``. In the
+    span, ``span = (frames, gram)`` with ``gram = frames @ frames.T``, ``y``
+    is ``[C | H]``, the prototypes ``C @ frames`` beside ``H = C @ gram``,
+    and ``x`` indexes the frames: the blocks are ``H @ C.T`` and
+    ``H[:, x].T``, and no row is formed. Rows come checked by the caller.
+    """
+    if span is None:
+        return _stacked_kernel(y @ y.T, x @ y.T, row_stats(y, spec), x_rows, y.shape[1], spec,
+                               np.array_equal(x, y), grad)
+    frames, gram = span
+    c, h = y[:, :len(gram)], y[:, len(gram):]
+    return _stacked_kernel(h @ c.T, h[:, x].T, _span_row_stats(c, h, frames, spec), x_rows,
+                           frames.shape[1], spec, grad=grad)
+
+
+def mmd2_terms(x, y, spec: KernelSpec, x_rows: np.ndarray,
+               span=None) -> tuple[np.ndarray, np.ndarray]:
     """Kyy and the column means of Kxy, from one stacked kernel pass over
-    ``[y; x]`` against ``y``; ``x_rows`` is ``row_stats(x, spec)``."""
-    x, y = _as_pair(x, y, "mmd2_terms")
-    k = _stacked_kernel(x, y, spec, x_rows)
+    ``[y; x]`` against ``y``; ``x_rows`` is ``row_stats(x, spec)``. With
+    ``span``, ``x`` and ``y`` are written in the frames' span, as in
+    ``mmd2_grad_y``."""
+    if span is None:
+        x, y = _as_pair(x, y, "mmd2_terms")
+    k = _kernel_pass(x, y, spec, x_rows, span)
     if not np.all(np.isfinite(k)):
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     m = y.shape[0]
@@ -38,8 +64,8 @@ def mmd2_from_terms(kxx_mean: float, kyy: np.ndarray, kxy_mean: np.ndarray,
     return float(kxx_mean + weights @ kyy @ weights - 2.0 * (weights @ kxy_mean))
 
 
-def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndarray,
-                x_rows: np.ndarray) -> np.ndarray:
+def mmd2_grad_y(x, y, spec: KernelSpec, weights: np.ndarray, x_rows: np.ndarray,
+                span=None) -> np.ndarray:
     """Gradient of the squared MMD between the rows of ``x`` and the
     ``weights``-weighted rows of ``y`` with respect to every row of ``y``;
     ``x_rows`` is ``row_stats(x, spec)``, which the trainer forms once per
@@ -52,16 +78,33 @@ def mmd2_grad_y(x: np.ndarray, y: np.ndarray, spec: KernelSpec, weights: np.ndar
     reduce to matrix products. The coefficients of both come from one kernel
     pass over the stacked (m + n) x m Gram products of ``[y; x]`` against
     ``y``: rows ``:m`` are the self block, rows ``m:`` the cross block.
+
+    In the frames' span (``span = (frames, gram)``, ``gram = frames @
+    frames.T``): ``y`` is ``[C | C @ gram]`` for the prototypes ``C @
+    frames``, ``x`` holds the batch's indices into the frames, and the
+    gradient D @ frames comes back as ``[D | D @ gram]``. It is the same
+    combination of rows written over the frames: the cross term ``U^T x``
+    is a scatter into the batch's columns of D and ``U^T gram[x]`` beside
+    it. No product runs over the frames' own width.
     """
-    x, y = _as_pair(x, y, "mmd2_grad_y")
-    n, m = x.shape[0], y.shape[0]
+    if span is None:
+        x, y = _as_pair(x, y, "mmd2_grad_y")
+    m = y.shape[0]
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ShapeError(f"expected {m} weights, got shape {w.shape}")
 
-    u, v = _stacked_kernel(x, y, spec, x_rows, grad=True)
+    u, v = _kernel_pass(x, y, spec, x_rows, span, grad=True)
+    n = len(u) - m  # the rows of x
     grad_self = u[:m].T @ (w[:, None] * y) + (w @ v[:m])[:, None] * y
-    grad_cross = u[m:].T @ x + v[m:].sum(axis=0)[:, None] * y
+    if span is None:
+        cross = u[m:].T @ x
+    else:
+        gram = span[1]
+        cross = np.zeros_like(y)
+        cross[:, x] = u[m:].T
+        cross[:, len(gram):] = u[m:].T @ gram[x]
+    grad_cross = cross + v[m:].sum(axis=0)[:, None] * y
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)
 
 
@@ -70,12 +113,16 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
 
     Minimizes the weight-dependent part w' Kyy w - 2 w' kxy_mean with a
     primal active-set method over a boolean support mask: start at the best
-    single prototype, solve the support face's KKT system for its minimizer
-    on {sum w = 1} (least squares if Kyy is singular), add the lowest-index
-    prototype whose gradient most undercuts the support's multiplier, and
-    step back to the simplex boundary (dropping every prototype whose weight
-    reaches zero) whenever the face minimizer leaves it, that is, has a
-    weight at or below zero. Deterministic, and exact up to rounding while
+    single prototype, solve the support face's KKT system, scaled to a unit
+    diagonal, for its minimizer on {sum w = 1} (least squares if Kyy is
+    singular), add the lowest-index prototype whose gradient most undercuts
+    the support's multiplier, and step back to the simplex boundary (dropping every prototype whose weight
+    reaches zero, that is, ``WEIGHT_FLOOR`` or less) whenever the face
+    minimizer leaves it, that is, has a weight at or below zero. The entry
+    test compares gradients, in kernel units, against a tolerance scaled
+    to the kernel terms that the gradient sums at the current weights, so a
+    huge self-kernel elsewhere does not hide a descent direction.
+    Deterministic, and exact up to rounding while
     Kyy is well conditioned. Near-duplicate prototypes (condition number
     beyond ~1e12) may split their mass, leaving the objective up to ~1e-7
     (relative) above its minimum.
@@ -84,7 +131,12 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
     kyy = 0.5 * (kyy + kyy.T)
     kxy_mean = np.asarray(kxy_mean, dtype=np.float64)
     m = kxy_mean.size
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(kyy))), float(np.max(np.abs(kxy_mean))))
+    abs_kyy, abs_kxy = np.abs(kyy), np.abs(kxy_mean)
+    # Each face system is solved in w / scale, which gives it a unit diagonal:
+    # a huge self-kernel then no longer swamps the other weights.
+    diag = 2.0 * np.diag(kyy)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    scaled_kyy, scaled_kxy = 2.0 * kyy * np.outer(scale, scale), 2.0 * kxy_mean * scale
     first = int(np.argmin(np.diag(kyy) - 2.0 * kxy_mean))
     w = np.zeros(m)
     w[first] = 1.0
@@ -92,15 +144,18 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
     for _ in range(4 * m * m + 10):
         k = int(support.sum())
         kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * kyy[np.ix_(support, support)]
-        kkt[:k, k] = kkt[k, :k] = 1.0
+        kkt[:k, :k] = scaled_kyy[np.ix_(support, support)]
+        kkt[:k, k] = kkt[k, :k] = scale[support]
         target = np.zeros(m)
-        target[support] = np.linalg.lstsq(kkt, np.append(2.0 * kxy_mean[support], 1.0), rcond=None)[0][:k]
+        rhs = np.append(scaled_kxy[support], 1.0)
+        target[support] = scale[support] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
         target /= target.sum()
         if np.all(target[support] > 0.0):
             w = target
             grad = 2.0 * (kyy @ w - kxy_mean)
             gap = np.where(support, np.inf, grad - grad[support].mean())
+            # Rounding in the gradient scales with the kernel terms it sums.
+            tol = 1e-12 * max(1.0, float(np.max(abs_kyy @ w + abs_kxy)))
             if gap.min() >= -tol:
                 break
             support[np.argmin(gap)] = True
@@ -112,7 +167,7 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
                 break
             t = np.min(w[shrinking] / step[shrinking])
             w = np.maximum(w - t * step, 0.0)
-            support &= w > tol
+            support &= w > WEIGHT_FLOOR
             w[~support] = 0.0
             w /= w.sum()
     return w

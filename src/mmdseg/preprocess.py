@@ -4,15 +4,18 @@ Gaussian smoothing.
 File formats
 ------------
 Features: UTF-8 text, one frame per non-blank line, floats split on commas
-if the line has any, else on whitespace; an empty field is an error.
-Labels: UTF-8 text, one token per non-blank line; integer tokens are used
-as-is and must fit int64, otherwise all tokens are interned to integers in
-first-appearance order.
+if the line has any, else on whitespace; an empty field, a '_' and a
+non-ASCII character are errors.
+Labels: UTF-8 text, one token per non-blank line; when every token is an
+integer (an optional sign and ASCII digits) they are used as-is and must fit
+int64, otherwise all tokens are interned to integers in first-appearance
+order.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -34,6 +37,9 @@ __all__ = [
 # Output frames per banded product in ``temporal_smooth``; of 64 to 512, 128 was
 # fastest on 2400 x 2352 frames with one BLAS thread.
 SMOOTH_BLOCK = 128
+# A label token read as an integer. Python's ``int`` also takes '_' digit
+# groups and non-ASCII digits, which a label file keeps as names.
+INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,10 @@ def load_features(path, labels_path=None) -> VideoFeatures:
 
     Each non-blank line is one frame, split on commas if it has any, else on
     whitespace; every field must parse as a float. Each row is checked where
-    it is read: a bad or empty field, a width other than the first row's and
-    a non-finite value are each a ``ParseError`` naming the line.
+    it is read: a bad or empty field, a '_' or non-ASCII character (which
+    the float parser would read as a digit group or a digit), a width other
+    than the first row's and a non-finite value are each a ``ParseError``
+    naming the line.
     """
     path = Path(path)
     rows: list[np.ndarray] = []
@@ -72,6 +80,8 @@ def load_features(path, labels_path=None) -> VideoFeatures:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
+                if "_" in line or not line.isascii():
+                    raise ParseError(f"{path}:{lineno}: bad feature value ('_' or a non-ASCII character)")
                 try:
                     row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
                 except ValueError as exc:
@@ -90,9 +100,10 @@ def load_features(path, labels_path=None) -> VideoFeatures:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a label file: one token per non-blank line. An integer token
-    outside int64, and a file that is not UTF-8, are each a ``ParseError``
-    naming the file (and the line, for the integer)."""
+    """Read a label file: one token per non-blank line. The tokens are
+    integers when every one matches ``INT_TOKEN``, else names. An integer
+    token outside int64, and a file that is not UTF-8, are each a
+    ``ParseError`` naming the file (and the line, for the integer)."""
     path = Path(path)
     tokens, linenos = [], []
     try:
@@ -105,13 +116,12 @@ def load_labels(path) -> np.ndarray:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not tokens:
         raise ParseError(f"{path}: no labels found")
-    try:
-        ints = [int(t) for t in tokens]
-    except ValueError:
+    if not all(INT_TOKEN.fullmatch(t) for t in tokens):
         interned: dict[str, int] = {}
         for t in tokens:
             interned.setdefault(t, len(interned))
         return np.asarray([interned[t] for t in tokens], dtype=np.int64)
+    ints = [int(t) for t in tokens]
     for lineno, value in zip(linenos, ints):
         if not -2**63 <= value < 2**63:
             raise ParseError(f"{path}:{lineno}: label {value} is outside int64")

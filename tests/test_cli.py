@@ -11,6 +11,7 @@ import mmdseg.cli as cli
 from mmdseg.cli import draw_m, main
 from mmdseg.numerics import make_rng
 from mmdseg.preprocess import save_features, save_labels
+from mmdseg.synthgen import SynthConfig, generate_moving5
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "mmdseg" / "schemas"
 
@@ -180,6 +181,15 @@ class TestSegment:
         assert main(["segment", "--features", str(feat), "--labels", str(labs), "--m", "2",
                      "--out", str(tmp_path / "o.json")]) == 2
         assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0663"])
+    def test_feature_digit_group_or_non_ascii_exit_2(self, tmp_path, capsys, field):
+        feat, _ = write_blob_video(tmp_path)
+        lines = feat.read_text().splitlines()
+        lines[2] = field + lines[2][lines[2].index(","):]
+        feat.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["segment", "--features", str(feat), "--m", "2", "--out", str(tmp_path / "o.json")]) == 2
+        assert f"error: {feat}:3: bad feature value" in capsys.readouterr().err
 
     def test_m_exceeding_frames_exit_3(self, tmp_path):
         feat, _ = write_blob_video(tmp_path, n_a=2, n_b=2)
@@ -374,6 +384,20 @@ class TestEval:
         assert "[ValueError]: --boundary-tol must be nonnegative, got -2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("token", ["1_0", "\uff11\uff10"])
+    def test_label_of_other_digits_is_not_the_integer_class(self, tmp_path, token):
+        # "1_0" and fullwidth "10" are names, so --exclude-bg 10 excludes nothing.
+        labs = tmp_path / "l_labels.txt"
+        labs.write_text(f"{token}\n{token}\n7\n7\n", encoding="utf-8")
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"name": "v", "frame_labels": [0, 1, 1, 1]}))
+        reports = []
+        for extra in ([], ["--exclude-bg", "10"]):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert main(["eval", "--pred", str(pred), "--labels", str(labs), *extra, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["mof"] == reports[1]["mof"] == 0.75
+
     def test_aggregate_writes_csv_with_mean_row(self, tmp_path):
         rows = [{"video": "a", "mof": 0.5, "iou": 0.25, "f1": 0.4, "boundary_accuracy": 1.0,
                  "label_map": {}, "per_class": {}},
@@ -441,7 +465,23 @@ class TestEval:
         assert f"{bad}: not valid JSON" in capsys.readouterr().err
 
 
+# sha256 of the ``randm --mode synthetic --mbar 5 --seed 0`` CSV over the first
+# five test videos of ``SynthConfig(seed=0)``.
+RANDM_CSV_DIGEST = "992ff591a276454b97c3be1c1f7dd09d301e9ea4e48055a282d978b3d49e3f3d"
+
+
 class TestRandm:
+    def test_synthetic_csv_is_pinned(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for v in generate_moving5(SynthConfig(seed=0), split="test")[:5]:
+            save_features(data / f"{v.name}_features.txt", v.frames)
+            save_labels(data / f"{v.name}_labels.txt", v.labels)
+        out = tmp_path / "randm.csv"
+        assert main(["randm", "--features-dir", str(data), "--mode", "synthetic", "--mbar", "5",
+                     "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == RANDM_CSV_DIGEST
+
     def test_draw_envelope_synthetic(self):
         draws = {draw_m(5, "synthetic", make_rng(0, 50, i)) for i in range(300)}
         assert draws <= set(range(0, 11)) - {5}
@@ -547,6 +587,34 @@ class TestRandm:
         assert main(["randm", "--features-dir", str(data), "--mbar", "2",
                      "--seed", "6", "--jobs", "2", "--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
+
+    @pytest.mark.parametrize("jobs, videos, workers", [(8, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_worker_pool_has_no_more_workers_than_videos(self, tmp_path, monkeypatch, jobs, videos,
+                                                          workers):
+        # A stand-in pool that records its size and maps in this process.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        data = tmp_path / "data"
+        data.mkdir()
+        for k in range(videos):
+            write_blob_video(data, name=f"v{k}", seed=10 + k)
+        assert main(["randm", "--features-dir", str(data), "--mbar", "2", "--method", "uniform",
+                     "--jobs", str(jobs), "--out", str(tmp_path / "o.csv")]) == 0
+        assert sizes == [workers]
 
 
 

@@ -16,7 +16,7 @@ from mmdseg import (
 )
 from mmdseg import kernels
 from mmdseg.kernels import SPHERE_FAMILIES, resolve_spec
-from mmdseg.mmd import mmd2_grad_y
+from mmdseg.mmd import _kernel_pass, mmd2_grad_y
 from mmdseg.learner import init_uniform_means
 from mmdseg.synthgen import SynthConfig, generate_video
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError, KernelSpecError, ShapeError
@@ -42,8 +42,8 @@ def nngp_ntk(a, b, spec):
 def grad_b(a, b, spec):
     """grad_b k(a_i, b_j) for every pair, shape (len(a), len(b), d), from the
     coefficient matrices of the trainer's own pass, the cross block of
-    ``_stacked_kernel``: U[i, j] a_i + W[i, j] b_j."""
-    u, w = (c[len(b):] for c in kernels._stacked_kernel(a, b, spec, kernels.row_stats(a, spec), grad=True))
+    ``mmd._kernel_pass`` over rows: U[i, j] a_i + W[i, j] b_j."""
+    u, w = (c[len(b):] for c in _kernel_pass(a, b, spec, kernels.row_stats(a, spec), grad=True))
     return u[:, :, None] * a[:, None, :] + w[:, :, None] * b[None, :, :]
 
 
@@ -221,11 +221,51 @@ class TestResolveSpec:
         samples = []
         for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30)):
             monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
-            spec, sample, kxx_mean, _, _ = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
+            spec, sample, kxx_mean, *_ = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
             assert kxx_mean == kernel_matrix(sample, sample, spec).mean(), len(f)
             samples.append(sample)
         assert np.shares_memory(samples[0], frames) and np.array_equal(samples[0], frames[:40])
         assert len(sample_rows(frames[:80], samples[1])) == 30
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gram_of_the_frames_only_when_the_sample_is_every_frame(self, family, monkeypatch):
+        # The trainer's frame span reads this product, so the NTK factor
+        # must not have written over it.
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30)):
+            monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
+            gram = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))[5]
+            if len(f) <= cap:
+                assert np.array_equal(gram, f @ f.T)
+            else:
+                assert gram is None
+
+
+class TestSpanRowStats:
+    """``row_stats`` of the rows ``c @ frames`` read from ``c @ frames @ frames.T``."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_rows(self, family):
+        rng = make_rng(30)
+        frames, c = rng.normal(size=(7, 20)), rng.uniform(0.0, 1.0, size=(3, 7))
+        spec = spec_for(family)
+        got = kernels._span_row_stats(c, c @ (frames @ frames.T), frames, spec)
+        assert np.allclose(got, kernels.row_stats(c @ frames, spec), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_zero_combination_is_measured_on_its_row(self, family):
+        # Two equal frames, weighted +1 and -1: the row is exactly zero, and
+        # the span's squared norm is zero too, so the row itself is measured.
+        frames = make_rng(31).normal(size=(4, 6))
+        frames[1] = frames[0]
+        c = np.array([[0.5, 0.5, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
+        spec = spec_for(family)
+        if family in SPHERE_FAMILIES:
+            with pytest.raises(DegenerateInputError, match="all-zero row 1$"):
+                kernels._span_row_stats(c, c @ (frames @ frames.T), frames, spec)
+        else:
+            got = kernels._span_row_stats(c, c @ (frames @ frames.T), frames, spec)
+            assert got[0, 1] == 0.0 and got[0, 0] > 0.0
 
 
 class TestNtkBase:
@@ -501,7 +541,7 @@ class TestKernelMatrix:
 
 
 class TestKernelGradB:
-    """The coefficient matrices of the cross block of ``_stacked_kernel``
+    """The coefficient matrices of the cross block of ``mmd._kernel_pass``
     over every pair of several rows, as ``mmd2_grad_y`` consumes them."""
 
     @staticmethod

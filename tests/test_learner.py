@@ -191,6 +191,56 @@ class TestTrainApproximation:
         assert spare not in set(assign(v, approx).frame_labels.tolist())
 
 
+class TestFrameSpan:
+    """A video of at most ``MAX_SCALE_FRAMES`` frames, fewer than its width,
+    trains in the frames' span; any other trains on rows.
+
+    Zero columns change no kernel value: the Gaussian reads distances, and
+    K0 reads ``r^2 / d``, which is ``1 / med ||x||^2`` (or 1 for the
+    ``_sphere`` families) whatever d is. So padding a row-path video past its
+    frame count moves it to the span path and must move nothing but rounding.
+    """
+
+    RTOL = 1e-10  # the worst case here measures 4.4e-13
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        # The pinned video projected to 60 dimensions: 90 frames, so N >= d.
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        return frames @ make_rng(5).normal(size=(2352, 60)) / 50
+
+    @staticmethod
+    def train(monkeypatch, frames, cfg):
+        paths = []
+        terms = learner.mmd2_terms
+
+        def spy(*args):
+            paths.append("rows" if args[4] is None else "span")
+            return terms(*args)
+
+        monkeypatch.setattr(learner, "mmd2_terms", spy)
+        approx, seg = segment_video(VideoFeatures(frames=frames), cfg)
+        assert len(set(paths)) == 1
+        return approx, seg, paths[0]
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_padding_past_the_frame_count_moves_only_rounding(self, monkeypatch, frames, family, m,
+                                                              epochs):
+        n, d = frames.shape
+        padded = np.hstack((frames, np.zeros((n, 200 - d))))
+        cfg = TrainConfig(m=m, epochs=epochs, seed=0, kernel=KernelSpec(family=family))
+        rows, seg_rows, path_rows = self.train(monkeypatch, frames, cfg)
+        span, seg_span, path_span = self.train(monkeypatch, padded, cfg)
+        assert (path_rows, path_span) == ("rows", "span")
+        assert np.array_equal(seg_rows.frame_labels, seg_span.frame_labels)
+        assert np.all(span.prototypes[:, d:] == 0.0)
+        for a, b in ((rows.prototypes, span.prototypes[:, :d]), (rows.weights, span.weights),
+                     (np.array(rows.train_log), np.array(span.train_log))):
+            assert np.max(np.abs(a - b)) <= self.RTOL * np.max(np.abs(a))
+
+
 class TestAssign:
     def test_frames_equal_prototypes(self):
         rng = make_rng(83)
@@ -310,8 +360,12 @@ class TestSegmentVideo:
         assert 1 <= len(labels) <= 5
         assert labels <= set(range(5))
 
-    def test_no_train_is_uniform_prototype_assignment(self):
-        v, _, _ = two_blob_video()
+    @pytest.mark.parametrize("make_video", [
+        lambda: two_blob_video()[0],  # 60 x 3: rows
+        lambda: generate_video(make_rng(0), SynthConfig(seed=0)),  # 90 x 2352: the frames' span
+    ], ids=["rows", "span"])
+    def test_no_train_is_uniform_prototype_assignment(self, make_video):
+        v = make_video()
         cfg = TrainConfig(m=3, epochs=0, seed=2)
         approx, seg = segment_video(v, cfg, PROFILES["synthetic"])
         assert np.array_equal(approx.prototypes, init_uniform_means(v.frames, 3))

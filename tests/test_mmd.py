@@ -16,8 +16,9 @@ from mmdseg import (
 )
 from mmdseg import learner
 from mmdseg.errors import NumericError, ShapeError
-from mmdseg.kernels import SPHERE_FAMILIES, _stacked_kernel
-from mmdseg.mmd import mmd2_from_terms, mmd2_terms, simplex_weights
+from mmdseg.kernels import SPHERE_FAMILIES
+from mmdseg.mmd import _kernel_pass, mmd2_from_terms, mmd2_terms, simplex_weights
+from mmdseg.synthgen import SynthConfig, generate_video
 
 from oracles import finite_diff_grad, mmd2_triple_loop, scalar_kernel_value, simplex_qp_by_supports
 
@@ -202,7 +203,7 @@ class TestStackedPass:
         y = rng.normal(size=(5, 9))  # two diagonal distances of 1e-15 unless zeroed
         # n > m, a cross block equal to y (m = n, the untrained case), and n = m unequal.
         for x in (y.copy(), rng.normal(size=(7, 9)), rng.normal(size=(5, 9))):
-            stacked = _stacked_kernel(x, y, spec, row_stats(x, spec))
+            stacked = _kernel_pass(x, y, spec, row_stats(x, spec))
             assert np.array_equal(stacked[:5], kernel_matrix(y, y, spec)), family
             assert np.array_equal(stacked[5:], kernel_matrix(x, y, spec)), family
 
@@ -212,10 +213,10 @@ class TestStackedPass:
         spec = spec_for("gauss")
         y = make_rng(67).normal(size=(5, 9))
         x = y.copy()
-        k = _stacked_kernel(x, y, spec, row_stats(x, spec))
+        k = _kernel_pass(x, y, spec, row_stats(x, spec))
         assert np.all(np.diag(k[:5]) == 1.0) and np.all(np.diag(k[5:]) == 1.0)
         x[2, 0] += 1e-3
-        k = _stacked_kernel(x, y, spec, row_stats(x, spec))
+        k = _kernel_pass(x, y, spec, row_stats(x, spec))
         assert np.all(np.diag(k[:5]) == 1.0) and k[7, 2] < 1.0
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -344,6 +345,33 @@ class TestSimplexWeights:
         best, w_ref = simplex_qp_by_supports(kyy, b)
         assert w @ kyy @ w - 2.0 * b @ w == pytest.approx(best, abs=1e-12)
         assert np.allclose(w, w_ref, rtol=0.0, atol=1e-12)
+
+    def test_huge_self_kernel_keeps_the_support(self):
+        # The first step-back case plus a point far out: its self-kernel of
+        # 2e14 dwarfs every other term. The optimum (the target lies in the
+        # hull) puts a weight of ~1e-7 on it.
+        y = np.array([[4, -1], [3, -3], [-2, -2], [-4, -3], [1e7, 1e7]], dtype=float)
+        kyy, b = y @ y.T, y @ np.array([1.0, -1.0])
+        with np.errstate(all="raise"):
+            w = simplex_weights(kyy, b)
+        best, _ = simplex_qp_by_supports(kyy, b)
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w @ kyy @ w - 2.0 * b @ w == pytest.approx(best, abs=1e-9)
+
+    def test_trained_prototype_with_a_huge_self_kernel(self):
+        # Two ntk epochs on a 60-D projection of a synthetic video send one
+        # prototype far out (self-kernel ~4e13). The refit weights must be
+        # no worse than the oracle's.
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        frames = frames @ make_rng(5).normal(size=(2352, 60)) / 50
+        approx = train_approximation(VideoFeatures(frames=frames),
+                                     TrainConfig(m=5, epochs=2, kernel=KernelSpec(family="ntk")))
+        kyy, b = mmd2_terms(frames, approx.prototypes, approx.spec, row_stats(frames, approx.spec))
+        assert np.max(np.diag(kyy)) > 1e12
+        best, _ = simplex_qp_by_supports(kyy, b)
+        w = approx.weights
+        assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w @ kyy @ w - 2.0 * b @ w <= best + 1e-9
 
 
 class TestBatchPlan:

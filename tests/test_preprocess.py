@@ -122,6 +122,26 @@ class TestLoadFeatures:
         with pytest.raises(ParseError, match=r"feat\.txt: not UTF-8 text"):
             load_features(p)
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "+1_0", "-\u0663"])
+    def test_label_token_of_other_digits_is_a_name(self, tmp_path, token):
+        # int() reads "1_0" as 10 and Arabic-Indic or fullwidth digits as
+        # numbers; a label file keeps them as names, so every token is interned.
+        p = tmp_path / "labels.txt"
+        p.write_text(f"{token}\n2\n{token}\n", encoding="utf-8")
+        assert np.array_equal(load_labels(p), [0, 1, 0])
+
+    def test_signed_and_zero_padded_integer_labels_kept(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text("+3\n-2\n07\n")
+        assert np.array_equal(load_labels(p), [3, -2, 7])
+
+    @pytest.mark.parametrize("line", ["1_0,2", "1,2_5", "\u0663,2", "\uff11 2", "1,2\u00a0"])
+    def test_feature_line_with_digit_groups_or_non_ascii_reports_line(self, tmp_path, line):
+        p = tmp_path / "feat.txt"
+        p.write_text(f"1,2\n{line}\n3,4\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"feat\.txt:2: .*non-ASCII"):
+            load_features(p)
+
 
 class TestL2Normalize:
     def test_three_four_five(self):
