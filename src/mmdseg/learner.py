@@ -5,11 +5,11 @@ distribution matches the real frame distribution in kernel space (squared
 MMD, minimized by gradient descent with decoupled weight decay over shuffled
 batches of ~N/M frames, the weights refit to their MMD optimum before the
 first epoch and after every epoch, on the frame sample that also fixed the
-kernel scales). Real frames are then labeled by the synthetic frame that
-contributes most to the approximation's kernel mean at them, and runs of
-equal labels become the predicted segments. Nothing forces every prototype
-to win frames (a weight may fall to zero), so the number of realized
-segments can fall below M.
+kernel scales; each epoch's refit starts from the previous weights). Real
+frames are then labeled by the synthetic frame that contributes most to the
+approximation's kernel mean at them, and runs of equal labels become the
+predicted segments. Nothing forces every prototype to win frames (a weight
+may fall to zero), so the number of realized segments can fall below M.
 
 Every step keeps each prototype in the span of the frames X, Y = C X. A
 video of at most ``MAX_SCALE_FRAMES`` frames, fewer than its width, is
@@ -148,11 +148,15 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     descent with decoupled weight decay), then refits the weights to their
     MMD^2 optimum for the new prototypes; training starts from the optimal
     weights of the initial prototypes (with no epochs the weights stay
-    uniform). The refit and the logged loss run over the frame sample that
-    ``resolve_spec`` returns (all frames, or a seeded draw of
+    uniform). That first refit starts cold, at the best single prototype;
+    each epoch's refit starts from the previous refit's weights, whose
+    support is usually already the optimal one, so it takes one face solve
+    instead of one per prototype and returns the same bytes as a cold start
+    (``simplex_weights``). The refit and the logged loss run over the frame
+    sample that ``resolve_spec`` returns (all frames, or a seeded draw of
     ``MAX_SCALE_FRAMES`` on a longer video) with its mean(Kxx).
-    ``train_log[0]`` is the loss at initialization; one entry
-    follows per epoch. Fully deterministic given the seed.
+    ``train_log[0]`` is the loss at initialization; one entry follows per
+    epoch. Fully deterministic given the seed.
 
     Each value is formed as rarely as it changes: the ``row_stats`` of the
     frames and of the sample once per video, by ``resolve_spec`` (each batch
@@ -211,7 +215,7 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
         if span is not None:
             y[:, n:] = y[:, :n] @ gram
         kyy, kxy_mean = mmd2_terms(sample_x, y, spec, sample_rows, span)
-        weights = simplex_weights(kyy, kxy_mean)
+        weights = simplex_weights(kyy, kxy_mean, start=weights)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
     if span is not None:
         y = y[:, :n] @ frames if cfg.epochs > 0 else init

@@ -108,24 +108,35 @@ def mmd2_grad_y(x, y, spec: KernelSpec, weights: np.ndarray, x_rows: np.ndarray,
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)
 
 
-def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
+def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray,
+                    start: np.ndarray | None = None) -> np.ndarray:
     """Weights on the probability simplex that minimize squared MMD.
 
     Minimizes the weight-dependent part w' Kyy w - 2 w' kxy_mean with a
-    primal active-set method over a boolean support mask: start at the best
-    single prototype, solve the support face's KKT system, scaled to a unit
-    diagonal, for its minimizer on {sum w = 1} (least squares if Kyy is
-    singular), add the lowest-index prototype whose gradient most undercuts
-    the support's multiplier, and step back to the simplex boundary (dropping every prototype whose weight
-    reaches zero, that is, ``WEIGHT_FLOOR`` or less) whenever the face
-    minimizer leaves it, that is, has a weight at or below zero. The entry
-    test compares gradients, in kernel units, against a tolerance scaled
-    to the kernel terms that the gradient sums at the current weights, so a
-    huge self-kernel elsewhere does not hide a descent direction.
-    Deterministic, and exact up to rounding while
-    Kyy is well conditioned. Near-duplicate prototypes (condition number
-    beyond ~1e12) may split their mass, leaving the objective up to ~1e-7
-    (relative) above its minimum.
+    primal active-set method over a boolean support mask. It starts at the
+    best single prototype, or at ``start`` when given: any nonnegative,
+    finite weights with a positive sum, taken divided by their sum, whose
+    support (``start > 0``) is the first face. Each round solves the support
+    face's KKT system, scaled to a unit diagonal, for its minimizer on
+    {sum w = 1} (least squares if Kyy is singular). If that minimizer keeps
+    every weight positive, the lowest-index prototype whose gradient most
+    undercuts the support's multiplier enters. Otherwise the weights step
+    back to the simplex boundary, dropping every prototype whose weight
+    reaches zero, that is, ``WEIGHT_FLOOR`` or less. The entry test
+    compares gradients, in kernel units, against a tolerance scaled to the
+    kernel terms that the gradient sums at the current weights, so a huge
+    self-kernel elsewhere does not hide a descent direction.
+
+    Deterministic, and exact up to rounding while Kyy is well conditioned.
+    A run that stops when no prototype can enter returns the last face
+    minimizer, which depends only on ``(kyy, kxy_mean)`` and the support: a
+    start that reaches the same final support returns the same bytes as
+    the cold start, and a start on the optimal support (in training, the
+    previous epoch's weights) needs one face solve instead of one per
+    entering prototype. Near-duplicate prototypes (condition number beyond
+    ~1e12) may split their mass, and then different starts may end on
+    different supports, leaving the objective up to ~1e-7 times the largest
+    kernel term above its minimum.
     """
     kyy = np.asarray(kyy, dtype=np.float64)
     kyy = 0.5 * (kyy + kyy.T)
@@ -137,9 +148,16 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray) -> np.ndarray:
     diag = 2.0 * np.diag(kyy)
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     scaled_kyy, scaled_kxy = 2.0 * kyy * np.outer(scale, scale), 2.0 * kxy_mean * scale
-    first = int(np.argmin(np.diag(kyy) - 2.0 * kxy_mean))
-    w = np.zeros(m)
-    w[first] = 1.0
+    if start is None:
+        w = np.zeros(m)
+        w[int(np.argmin(np.diag(kyy) - 2.0 * kxy_mean))] = 1.0
+    else:
+        w = np.asarray(start, dtype=np.float64)
+        if w.shape != (m,):
+            raise ShapeError(f"expected {m} start weights, got shape {w.shape}")
+        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
+            raise ValueError(f"start must be nonnegative and finite with a positive sum, got {w}")
+        w = w / w.sum()
     support = w > 0.0
     for _ in range(4 * m * m + 10):
         k = int(support.sum())

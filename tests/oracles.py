@@ -112,22 +112,28 @@ def mmd2_triple_loop(x, y, spec, weights=None):
 
 def simplex_qp_by_supports(kyy, kxy_mean):
     """Minimum of w'Kw - 2 b'w over the probability simplex, by enumerating
-    every support set and solving its equality-constrained KKT system."""
+    every support set and solving its equality-constrained KKT system.
+
+    Each system is solved in w_i * sqrt(2 K_ii), which gives it a unit
+    diagonal, so a huge self-kernel does not swamp the other weights."""
     kyy = np.asarray(kyy, dtype=float)
     b = np.asarray(kxy_mean, dtype=float)
     m = b.size
+    diag = 2.0 * np.diag(kyy)
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
     best_val, best_w = math.inf, None
     for size in range(1, m + 1):
         for support in itertools.combinations(range(m), size):
             idx = list(support)
+            s = scale[idx]
             kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * kyy[np.ix_(idx, idx)]
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.concatenate([2.0 * b[idx], [1.0]])
+            kkt[:size, :size] = 2.0 * kyy[np.ix_(idx, idx)] * np.outer(s, s)
+            kkt[:size, size] = s
+            kkt[size, :size] = s
+            rhs = np.concatenate([2.0 * b[idx] * s, [1.0]])
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
             w = np.zeros(m)
-            w[idx] = sol[:size]
+            w[idx] = s * sol[:size]
             if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:
                 continue
             val = float(w @ kyy @ w - 2.0 * b @ w)

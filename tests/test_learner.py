@@ -241,6 +241,42 @@ class TestFrameSpan:
             assert np.max(np.abs(a - b)) <= self.RTOL * np.max(np.abs(a))
 
 
+class TestWarmRefit:
+    """Each epoch's weight refit starts from the previous refit's weights;
+    the refit before the first epoch starts cold."""
+
+    M, EPOCHS = 5, 10
+
+    def train(self, family):
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        train_approximation(VideoFeatures(frames=frames),
+                            TrainConfig(m=self.M, epochs=self.EPOCHS, kernel=KernelSpec(family=family)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_warm_refit_returns_the_cold_bytes(self, monkeypatch, family):
+        refits = []
+        refit = learner.simplex_weights
+
+        def spy(kyy, kxy_mean, start=None):
+            w = refit(kyy, kxy_mean, start=start)
+            refits.append((kyy, kxy_mean, start, w))
+            return w
+
+        monkeypatch.setattr(learner, "simplex_weights", spy)
+        self.train(family)
+        assert len(refits) == self.EPOCHS + 1 and refits[0][2] is None
+        for (*_, previous), (kyy, kxy_mean, start, w) in zip(refits, refits[1:]):
+            assert start is previous
+            assert w.tobytes() == simplex_weights(kyy, kxy_mean).tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_about_one_face_solve_per_epoch(self, face_solves, family):
+        # Cold at every refit, training took 55-66 solves (about m per
+        # refit); warm, 15-17.
+        self.train(family)
+        assert len(face_solves) < self.M + 2 * self.EPOCHS
+
+
 class TestAssign:
     def test_frames_equal_prototypes(self):
         rng = make_rng(83)
