@@ -10,6 +10,13 @@ Labels: UTF-8 text, one token per non-blank line; when every token is an
 integer (an optional sign and ASCII digits) they are used as-is and must fit
 int64, otherwise all tokens are interned to integers in first-appearance
 order.
+A leading byte-order mark is not data in either file.
+
+Two readers parse a feature file. ``np.loadtxt`` reads a well-formed ASCII
+file in C with one separator, picked from the first non-blank line. Any
+file it does not take goes to the per-line reader, which checks each line
+and names the first bad one. Both give the same frames on the files the
+first accepts, so a file's frames and errors do not depend on the reader.
 """
 
 from __future__ import annotations
@@ -67,16 +74,52 @@ def load_features(path, labels_path=None) -> VideoFeatures:
     """Read a feature file (and optionally a label file) into VideoFeatures.
 
     Each non-blank line is one frame, split on commas if it has any, else on
-    whitespace; every field must parse as a float. Each row is checked where
-    it is read: a bad or empty field, a '_' or non-ASCII character (which
-    the float parser would read as a digit group or a digit), a width other
-    than the first row's and a non-finite value are each a ``ParseError``
-    naming the line.
+    whitespace; every field must parse as a float. A bad or empty field, a
+    '_' or non-ASCII character (which the float parser would read as a digit
+    group or a digit), a width other than the first row's and a non-finite
+    value are each a ``ParseError`` naming the first line at fault.
+
+    A file of ASCII text whose lines all split on the first non-blank line's
+    separator, with finite values, is read by one ``np.loadtxt`` call; every
+    other file by ``_read_features_per_line``, which gives the same frames
+    on the files ``np.loadtxt`` takes.
     """
     path = Path(path)
+    frames = None
+    try:
+        # The open handle, never the path: np.loadtxt decompresses a path
+        # ending in ".gz", ".bz2" or ".xz". ASCII, because decoded as UTF-8
+        # it strips NBSP and other Unicode spaces around a field.
+        with open(path, "r", encoding="ascii") as fh:
+            first = next((line for line in fh if line.strip()), None)
+            if first is not None:
+                fh.seek(0)
+                frames = np.loadtxt(_without_separator_controls(fh), dtype=np.float64,
+                                    delimiter="," if "," in first else None, comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError is a ValueError
+        pass
+    if frames is None or not np.all(np.isfinite(frames)):
+        frames = _read_features_per_line(path)
+    labels = load_labels(labels_path) if labels_path is not None else None
+    return VideoFeatures(frames=frames, labels=labels, name=path.stem.removesuffix("_features"))
+
+
+def _without_separator_controls(lines):
+    """Yield the lines, raising ValueError at one holding U+001C..U+001F:
+    np.loadtxt strips these around a comma-separated field, where the
+    per-line reader's float cast rejects them."""
+    for line in lines:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("an ASCII separator control character")
+        yield line
+
+
+def _read_features_per_line(path: Path) -> np.ndarray:
+    """The frames of a feature file, each line checked where it is read, so
+    the first bad line is the one a ``ParseError`` names."""
     rows: list[np.ndarray] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -95,8 +138,7 @@ def load_features(path, labels_path=None) -> VideoFeatures:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     if not rows:
         raise ParseError(f"{path}: no feature rows found")
-    labels = load_labels(labels_path) if labels_path is not None else None
-    return VideoFeatures(frames=np.stack(rows), labels=labels, name=path.stem.removesuffix("_features"))
+    return np.stack(rows)
 
 
 def load_labels(path) -> np.ndarray:
@@ -107,7 +149,7 @@ def load_labels(path) -> np.ndarray:
     path = Path(path)
     tokens, linenos = [], []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if tok := line.strip():
                     tokens.append(tok)

@@ -1,11 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from mmdseg import preprocess
 from mmdseg import VideoFeatures, l2_normalize_rows, load_features, load_labels, make_rng, temporal_smooth
 from mmdseg.errors import ConsistencyError, DegenerateInputError, ParseError
 from mmdseg.preprocess import save_features, save_labels, smoothing_window
 
 from oracles import direct_convolution
+
+# What the differential test builds feature files from: float syntax, both
+# separators, ASCII controls that str.split() or np.loadtxt treat as blank,
+# tokens either reader might take as a number, and non-ASCII spaces and a
+# digit that a UTF-8 read would strip or parse.
+FUZZ_CHARS = list("0123456789+-.eE, \t\n") + ["\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", "\x85", "\u0663"]
+FUZZ_TOKENS = ["nan", "inf", "-inf", "1_0", "\u0663", "1e999", "4.9e-324"]
+FUZZ_PADS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003", "\x85"]
+FUZZ_SEPS = [",", ",", " ", "\t", ", ", " ,", "  "]
 
 
 def video(frames, labels=None):
@@ -81,10 +93,12 @@ class TestLoadFeatures:
         assert p.read_text() == ("0,-0,4.9406564584124654e-324,1.7976931348623157e+308,"
                                  "0.10000000000000001,0.33333333333333331\n")
         assert load_features(p).frames.tobytes() == edge.tobytes()
-        # Plain text whatever the name: np.savetxt given a path gzips a ".gz" one.
-        gz = tmp_path / "feat.txt.gz"
-        save_features(gz, frames)
-        assert np.array_equal(load_features(gz).frames, frames)
+        # Plain text whatever the name: np.savetxt and np.loadtxt given a path
+        # compress or decompress one with these suffixes.
+        for name in ("feat.txt.gz", "feat.txt.bz2", "feat.txt.xz"):
+            compressed = tmp_path / name
+            save_features(compressed, frames)
+            assert np.array_equal(load_features(compressed).frames, frames)
 
     def test_label_interning(self, tmp_path):
         p = tmp_path / "labels.txt"
@@ -141,6 +155,116 @@ class TestLoadFeatures:
         p.write_text(f"1,2\n{line}\n3,4\n", encoding="utf-8")
         with pytest.raises(ParseError, match=r"feat\.txt:2: .*non-ASCII"):
             load_features(p)
+
+    @pytest.mark.parametrize("read, text", [
+        (lambda p: load_features(p).frames, "1,2\n3,4\n"),
+        (preprocess._read_features_per_line, "1 2\n\n3 4\n"),
+        (load_labels, "0\n0\n1\n"),
+        (load_labels, "walk\nrun\nwalk\n"),
+    ], ids=["features", "per-line-reader", "integer-labels", "named-labels"])
+    def test_leading_byte_order_mark_is_not_data(self, tmp_path, read, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected, got = read(plain), read(marked)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_well_formed_files_skip_the_per_line_reader(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"per-line reader reached for {path}")
+
+        monkeypatch.setattr(preprocess, "_read_features_per_line", refuse)
+        frames = make_rng(77).normal(size=(5, 3))
+        p = tmp_path / "feat.txt"
+        save_features(p, frames)
+        assert load_features(p).frames.tobytes() == frames.tobytes()
+        p.write_text("1 2\n3\t4\n")
+        assert load_features(p).frames.tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("text, frames", [
+        ("1,2\n \n3,4\n", [[1, 2], [3, 4]]),
+        ("1,2\n3 4\n", [[1, 2], [3, 4]]),
+        ("1 2\n3,4\n", [[1, 2], [3, 4]]),
+        ("1\x1c2\n", [[1, 2]]),
+        ("\ufeff1,2\n", [[1, 2]]),
+    ], ids=["blank-line-in-comma-file", "comma-then-space", "space-then-comma",
+            "separator-control", "byte-order-mark"])
+    def test_files_np_loadtxt_rejects_go_to_the_per_line_reader(self, tmp_path, monkeypatch, text, frames):
+        calls = []
+        per_line = preprocess._read_features_per_line
+        monkeypatch.setattr(preprocess, "_read_features_per_line", lambda path: calls.append(path) or per_line(path))
+        p = tmp_path / "feat.txt"
+        p.write_text(text, encoding="utf-8")
+        assert load_features(p).frames.tolist() == frames
+        assert calls == [p]
+
+    @pytest.mark.parametrize("text", ["", "\n \n\t\x0b\n"], ids=["empty", "blank-lines"])
+    def test_file_without_rows_is_named_without_a_numpy_warning(self, tmp_path, text):
+        p = tmp_path / "feat.txt"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"feat\.txt: no feature rows found"):
+                load_features(p)
+
+    def test_fast_read_agrees_with_the_per_line_reader(self, tmp_path, monkeypatch):
+        """On a few thousand small files, mostly near-valid, ``load_features``
+        gives the per-line reader's frames byte for byte, or its error."""
+        rng = make_rng(78)
+
+        def pick(options):
+            return options[rng.integers(len(options))]
+
+        def number():
+            if rng.random() < 0.08:
+                return pick(FUZZ_TOKENS)
+            text = pick(["", "+", "-"]) + "".join(pick("0123456789") for _ in range(rng.integers(1, 4)))
+            if rng.random() < 0.4:
+                text += "." + "".join(pick("0123456789") for _ in range(rng.integers(0, 3)))
+            if rng.random() < 0.2:
+                text += pick("eE") + pick(["", "+", "-"]) + str(rng.integers(0, 40))
+            return text
+
+        def pad():
+            return pick(FUZZ_PADS) if rng.random() < 0.1 else ""
+
+        def feature_text():
+            n_cols, sep, lines = int(rng.integers(1, 4)), pick(FUZZ_SEPS), []
+            for _ in range(rng.integers(1, 5)):
+                if rng.random() < 0.2:
+                    lines.append(pad())
+                row = rng.integers(n_cols, n_cols + 2) if rng.random() < 0.1 else n_cols
+                lines.append(sep.join(pad() + number() + pad() for _ in range(row)))
+            text = "\n".join(lines) + pick(["\n", ""])
+            for _ in range(rng.integers(0, 3) if rng.random() < 0.4 else 0):
+                at = int(rng.integers(len(text) + 1))
+                text = text[:at] + pick(FUZZ_CHARS) + text[at:]
+            return text
+
+        def outcome(read, path):
+            try:
+                return read(path)
+            except ParseError as exc:
+                return str(exc)
+
+        per_line_reader, fallbacks = preprocess._read_features_per_line, []
+        monkeypatch.setattr(preprocess, "_read_features_per_line",
+                            lambda path: fallbacks.append(path) or per_line_reader(path))
+        p = tmp_path / "feat.txt"
+        accepted = 0
+        for _ in range(3000):
+            text = feature_text()
+            p.write_text(text, encoding="utf-8")
+            fast = outcome(lambda path: load_features(path).frames, p)
+            per_line = outcome(per_line_reader, p)
+            if isinstance(per_line, str):
+                assert isinstance(fast, str) and fast == per_line, repr(text)
+            else:
+                accepted += 1
+                assert isinstance(fast, np.ndarray), repr(text)
+                assert fast.shape == per_line.shape and fast.tobytes() == per_line.tobytes(), repr(text)
+        # Both outcomes are exercised, and np.loadtxt reads many of the files.
+        assert 600 < accepted < 2400 and len(fallbacks) < 2500
 
 
 class TestL2Normalize:
