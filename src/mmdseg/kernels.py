@@ -197,9 +197,7 @@ def row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:
     a second row for the ``_sphere`` families. A caller that meets the same
     rows again (the trainer's frames) forms it once and takes its columns."""
     sq = np.sum(x * x, axis=1)
-    if spec.family not in SPHERE_FAMILIES:
-        return sq[None, :]
-    return np.stack((sq, _row_norms(x, sq)))
+    return sq[None, :] if spec.family not in SPHERE_FAMILIES else np.stack((sq, _row_norms(x, sq)))
 
 
 def _gauss(sqdist: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -245,52 +243,53 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
         if family == "gauss":
             return (ug, -ug) if grad else kg
     if sphere:
-        na, nb = rows_a[1], rows_b[1]
         with np.errstate(invalid="ignore"):  # 0 / 0 where a tiny row's square underflows
-            gram /= np.outer(na, nb)
+            norms = rows_a[1][:, None] * rows_b[1]
+            gram /= norms
         self_pairs = np.arange(n_self)
         gram[self_pairs, self_pairs % gram.shape[1]] = 1.0  # where the distances are zero
-        sq_a, sq_b = np.ones_like(na), np.ones_like(nb)
+        sq_a, sq_b = np.ones(rows_a.shape[1]), np.ones(rows_b.shape[1])
 
     s = spec.sigma_w_sq * spec.input_scale**2 / d  # K0 = s * <a, b> + sb2
-    k0_aa = s * sq_a + spec.sigma_b_sq
-    p = np.sqrt(np.outer(k0_aa, s * sq_b + spec.sigma_b_sq))
+    k0_aa = (s * sq_a + spec.sigma_b_sq)[:, None]
+    p = np.sqrt(k0_aa * (s * sq_b + spec.sigma_b_sq))
     # K0 takes over the Gram buffer unless the sphere gradient still needs the cosines.
     k0_ab = np.multiply(gram, s, out=None if sphere and grad else gram)
     k0_ab += spec.sigma_b_sq
-    if np.any(p == 0.0):
+    if (p == 0.0).any():
         raise DegenerateInputError(
             "NTK closed form undefined for a zero-variance input (zero row with sigma_b_sq = 0)"
         )
     c_raw = k0_ab / p
     lo, hi = -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS
-    c = np.clip(c_raw, lo, hi)
+    c = np.minimum(np.maximum(c_raw, lo), hi)  # np.clip's bits, without its wrapper
     pi_m_t = math.pi - np.arccos(c)
     sin_t = np.sqrt(1.0 - c * c)
     coef = spec.sigma_w_sq / (2.0 * math.pi)
     g = sin_t + pi_m_t * c
-    ntk_dot = None if family == "nngp" else coef * pi_m_t  # the NTK adds K0(a, b) * ntk_dot
+    coef_pi_m_t = None if family == "nngp" and not grad else coef * pi_m_t  # the NTK adds K0(a, b) * it
     if not grad or kg is not None:  # the values, which the product rule reads too
         kn = coef * p * g + spec.sigma_b_sq
-        if ntk_dot is not None:
-            kn += k0_ab * ntk_dot
+        if family != "nngp":
+            kn += k0_ab * coef_pi_m_t
         if not grad:
             return kn if kg is None else spec.alpha * kn * kg
     gate = ((c_raw > lo) & (c_raw < hi)).astype(np.float64)
-    u = coef * pi_m_t * gate * s
-    w = coef * s * k0_aa[:, None] / p * (g - pi_m_t * gate * c_raw)
-    if ntk_dot is not None:
+    u = coef_pi_m_t * gate * s
+    w = coef * s * k0_aa / p * (g - pi_m_t * gate * c_raw)
+    if family != "nngp":
         # d(pi - theta)/dc = 1/sin(theta); the clamp gate keeps it finite.
         dot_c = coef * gate / sin_t
         u_dot = dot_c * s / p
-        w_dot = -dot_c * c_raw * s * k0_aa[:, None] / (p * p)
-        u, w = u + ntk_dot * s + k0_ab * u_dot, w + k0_ab * w_dot
+        w_dot = -dot_c * c_raw * s * k0_aa / (p * p)
+        u, w = u + coef_pi_m_t * s + k0_ab * u_dot, w + k0_ab * w_dot
     if sphere:
         # Tangential projection kills the b-hat component of the upstream gradient.
-        u, w = u / (na[:, None] * nb[None, :]), -u * gram / (nb[None, :] ** 2)
+        u, w = u / norms, -u * gram / rows_b[1] ** 2
     if kg is None:
         return u, w
-    return spec.alpha * (kg * u + kn * ug), spec.alpha * (kg * w - kn * ug)
+    kn_ug = kn * ug
+    return spec.alpha * (kg * u + kn_ug), spec.alpha * (kg * w - kn_ug)
 
 
 def _stacked_kernel(yy: np.ndarray, xy: np.ndarray, y_rows: np.ndarray, x_rows: np.ndarray,
@@ -321,20 +320,21 @@ def _span_row_stats(c: np.ndarray, h: np.ndarray, frames: np.ndarray, spec: Kern
     without forming them: their squared norms are ``sum(h * c)``. When one
     of those leaves the normal range (zero, subnormal, rounded below zero,
     inf or NaN) the rows are formed and measured as ``row_stats`` does."""
-    sq = np.sum(h * c, axis=1)
-    if np.any(_extreme(sq)):
+    sq = np.add.reduce(h * c, axis=1)
+    if not (np.finfo(np.float64).tiny <= sq.min() and sq.max() < np.inf):  # not np.any(_extreme(sq))
         return row_stats(c @ frames, spec)
     return sq[None, :] if spec.family not in SPHERE_FAMILIES else np.stack((sq, np.sqrt(sq)))
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel evaluations between the rows of ``a`` and the rows of ``b``:
-    one Gram product and one pass of ``_kernel_core``."""
+    one Gram product, with the operand of fewer rows on its left (``(b @
+    a.T).T`` when ``b`` is the shorter), and one pass of ``_kernel_core``."""
     a, b = _as_pair(a, b, "kernel_matrix")
     n_self = b.shape[0] if np.array_equal(a, b) else 0
-    values = _kernel_core(a @ b.T, row_stats(a, spec), row_stats(b, spec), a.shape[1], n_self, spec,
-                          grad=False)
-    if not np.all(np.isfinite(values)):
+    gram = (b @ a.T).T if len(b) < len(a) else a @ b.T
+    values = _kernel_core(gram, row_stats(a, spec), row_stats(b, spec), a.shape[1], n_self, spec, grad=False)
+    if not np.isfinite(values).all():
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     return values
 

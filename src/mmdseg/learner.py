@@ -207,10 +207,8 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
         order = rng_batches.permutation(n)
         for lo in range(0, n, size):
             batch = order[lo:lo + size]
-            if span is None:
-                grad = mmd2_grad_y(frames[batch], y, spec, weights, frame_rows[:, batch])
-            else:
-                grad = mmd2_grad_y(batch, y, spec, weights, frame_rows[:, batch], span)
+            grad = mmd2_grad_y(frames[batch] if span is None else batch, y, spec, weights,
+                               frame_rows[:, batch], span)
             y = y - cfg.learning_rate * grad - cfg.learning_rate * cfg.weight_decay * y
         if span is not None:
             y[:, n:] = y[:, :n] @ gram

@@ -28,14 +28,16 @@ def _kernel_pass(x, y, spec: KernelSpec, x_rows: np.ndarray, span=None, grad: bo
     """``_stacked_kernel`` over ``[y; x]`` against ``y``, from rows or in
     the frames' span.
 
-    From rows: ``y @ y.T``, ``x @ y.T`` and the row stats of ``y``. In the
-    span, ``span = (frames, gram)`` with ``gram = frames @ frames.T``, ``y``
-    is ``[C | H]``, the prototypes ``C @ frames`` beside ``H = C @ gram``,
-    and ``x`` indexes the frames: the blocks are ``H @ C.T`` and
-    ``H[:, x].T``, and no row is formed. Rows come checked by the caller.
+    From rows: ``y @ y.T``, ``x @ y.T`` formed as ``(y @ x.T).T`` (the m
+    prototypes on the left of the thin product) and the row stats of ``y``.
+    In the span, ``span = (frames, gram)`` with ``gram = frames @ frames.T``,
+    ``y`` is ``[C | H]``, the prototypes ``C @ frames`` beside
+    ``H = C @ gram``, and ``x`` indexes the frames: the blocks are
+    ``H @ C.T`` and ``H[:, x].T``, and no row is formed. Rows come checked
+    by the caller.
     """
     if span is None:
-        return _stacked_kernel(y @ y.T, x @ y.T, row_stats(y, spec), x_rows, y.shape[1], spec,
+        return _stacked_kernel(y @ y.T, (y @ x.T).T, row_stats(y, spec), x_rows, y.shape[1], spec,
                                np.array_equal(x, y), grad)
     frames, gram = span
     c, h = y[:, :len(gram)], y[:, len(gram):]
@@ -52,10 +54,10 @@ def mmd2_terms(x, y, spec: KernelSpec, x_rows: np.ndarray,
     if span is None:
         x, y = _as_pair(x, y, "mmd2_terms")
     k = _kernel_pass(x, y, spec, x_rows, span)
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     m = y.shape[0]
-    return k[:m], k[m:].mean(axis=0)
+    return k[:m], np.add.reduce(k[m:], axis=0) / (len(k) - m)  # mean(axis=0)'s arithmetic
 
 
 def mmd2_from_terms(kxx_mean: float, kyy: np.ndarray, kxy_mean: np.ndarray,
@@ -95,16 +97,15 @@ def mmd2_grad_y(x, y, spec: KernelSpec, weights: np.ndarray, x_rows: np.ndarray,
         raise ShapeError(f"expected {m} weights, got shape {w.shape}")
 
     u, v = _kernel_pass(x, y, spec, x_rows, span, grad=True)
-    n = len(u) - m  # the rows of x
+    n, u_cross = len(u) - m, u[m:].T  # the rows of x, and U^T of the cross block
     grad_self = u[:m].T @ (w[:, None] * y) + (w @ v[:m])[:, None] * y
     if span is None:
-        cross = u[m:].T @ x
-    else:
-        gram = span[1]
-        cross = np.zeros_like(y)
-        cross[:, x] = u[m:].T
-        cross[:, len(gram):] = u[m:].T @ gram[x]
-    grad_cross = cross + v[m:].sum(axis=0)[:, None] * y
+        cross = u_cross @ x
+    else:  # D beside D @ gram, with gram = span[1]
+        cross = np.zeros(y.shape)
+        cross[:, x] = u_cross
+        cross[:, len(span[1]):] = u_cross @ span[1][x]
+    grad_cross = cross + np.add.reduce(v[m:], axis=0)[:, None] * y
     return w[:, None] * (2.0 * grad_self - (2.0 / n) * grad_cross)
 
 
@@ -114,13 +115,14 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray,
 
     Minimizes the weight-dependent part w' Kyy w - 2 w' kxy_mean with a
     primal active-set method over a boolean support mask. It starts at the
-    best single prototype, or at ``start`` when given: any nonnegative,
-    finite weights with a positive sum, taken divided by their sum, whose
-    support (``start > 0``) is the first face. Each round solves the support
-    face's KKT system, scaled to a unit diagonal, for its minimizer on
-    {sum w = 1} (least squares if Kyy is singular). If that minimizer keeps
-    every weight positive, the lowest-index prototype whose gradient most
-    undercuts the support's multiplier enters. Otherwise the weights step
+    best single prototype, or at ``start`` when given: any nonnegative
+    weights with a finite positive sum (a sum that overflows is rejected),
+    taken divided by their sum, whose support (``start > 0``) is the first
+    face. Each round solves the support face's KKT system, scaled to a unit
+    diagonal, for its minimizer on {sum w = 1} (least squares if Kyy is
+    singular). If that minimizer keeps every weight positive, the
+    lowest-index prototype whose gradient most undercuts the support's
+    multiplier (its mean gradient) enters. Otherwise the weights step
     back to the simplex boundary, dropping every prototype whose weight
     reaches zero, that is, ``WEIGHT_FLOOR`` or less. The entry test
     compares gradients, in kernel units, against a tolerance scaled to the
@@ -147,7 +149,7 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray,
     # a huge self-kernel then no longer swamps the other weights.
     diag = 2.0 * np.diag(kyy)
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    scaled_kyy, scaled_kxy = 2.0 * kyy * np.outer(scale, scale), 2.0 * kxy_mean * scale
+    scaled_kyy, scaled_kxy = 2.0 * kyy * (scale[:, None] * scale), 2.0 * kxy_mean * scale
     if start is None:
         w = np.zeros(m)
         w[int(np.argmin(np.diag(kyy) - 2.0 * kxy_mean))] = 1.0
@@ -155,37 +157,39 @@ def simplex_weights(kyy: np.ndarray, kxy_mean: np.ndarray,
         w = np.asarray(start, dtype=np.float64)
         if w.shape != (m,):
             raise ShapeError(f"expected {m} start weights, got shape {w.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(w >= 0.0) and w.sum() > 0.0):
-            raise ValueError(f"start must be nonnegative and finite with a positive sum, got {w}")
-        w = w / w.sum()
+        with np.errstate(over="ignore"):  # a sum that overflows is rejected, not warned about
+            if not (0.0 < (total := np.add.reduce(w)) < np.inf and w.min() >= 0.0):
+                raise ValueError(f"start must be nonnegative and finite with a positive sum, got {w}")
+        w = w / total
     support = w > 0.0
     for _ in range(4 * m * m + 10):
-        k = int(support.sum())
+        face = np.flatnonzero(support)
+        k, face_scale = face.size, scale[face]
         kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = scaled_kyy[np.ix_(support, support)]
-        kkt[:k, k] = kkt[k, :k] = scale[support]
+        kkt[:k, :k] = scaled_kyy[face[:, None], face]
+        kkt[:k, k] = kkt[k, :k] = face_scale
+        rhs = np.concatenate((scaled_kxy[face], (1.0,)))
         target = np.zeros(m)
-        rhs = np.append(scaled_kxy[support], 1.0)
-        target[support] = scale[support] * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        target /= target.sum()
-        if np.all(target[support] > 0.0):
+        target[face] = face_scale * np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        target /= np.add.reduce(target)
+        if target[face].min() > 0.0:
             w = target
             grad = 2.0 * (kyy @ w - kxy_mean)
-            gap = np.where(support, np.inf, grad - grad[support].mean())
+            gap = np.where(support, np.inf, grad - np.add.reduce(grad[face]) / k)  # mean's arithmetic
             # Rounding in the gradient scales with the kernel terms it sums.
-            tol = 1e-12 * max(1.0, float(np.max(abs_kyy @ w + abs_kxy)))
+            tol = 1e-12 * max(1.0, float((abs_kyy @ w + abs_kxy).max()))
             if gap.min() >= -tol:
                 break
-            support[np.argmin(gap)] = True
+            support[gap.argmin()] = True
         else:
             # Walk toward the face minimizer until a weight reaches zero.
             step = w - target
-            shrinking = support & (step > 0.0)
-            if not shrinking.any():  # the new prototype cannot enter: w is optimal
+            shrinking = np.flatnonzero(support & (step > 0.0))
+            if not shrinking.size:  # the new prototype cannot enter: w is optimal
                 break
-            t = np.min(w[shrinking] / step[shrinking])
+            t = (w[shrinking] / step[shrinking]).min()
             w = np.maximum(w - t * step, 0.0)
             support &= w > WEIGHT_FLOOR
             w[~support] = 0.0
-            w /= w.sum()
+            w /= np.add.reduce(w)
     return w

@@ -59,8 +59,8 @@ def sqdist_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
     """
     d = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
     np.maximum(d, 0.0, out=d)
-    rows = np.arange(n_self)
-    d[rows, rows % d.shape[1]] = 0.0
+    for lo in range(0, n_self, d.shape[1]):  # a strided store on each block's diagonal
+        d[lo:min(lo + d.shape[1], n_self)].flat[::d.shape[1] + 1] = 0.0
     return d
 
 

@@ -5,7 +5,8 @@ File formats
 ------------
 Features: UTF-8 text, one frame per non-blank line, floats split on commas
 if the line has any, else on whitespace; an empty field, a '_' and a
-non-ASCII character are errors.
+non-ASCII character are errors, and so is a line holding one of the ASCII
+separator controls U+001C..U+001F, blank or not.
 Labels: UTF-8 text, one token per non-blank line; when every token is an
 integer (an optional sign and ASCII digits) they are used as-is and must fit
 int64, otherwise all tokens are interned to integers in first-appearance
@@ -76,7 +77,8 @@ def load_features(path, labels_path=None) -> VideoFeatures:
     Each non-blank line is one frame, split on commas if it has any, else on
     whitespace; every field must parse as a float. A bad or empty field, a
     '_' or non-ASCII character (which the float parser would read as a digit
-    group or a digit), a width other than the first row's and a non-finite
+    group or a digit), an ASCII separator control U+001C..U+001F on any
+    line, blank or not, a width other than the first row's and a non-finite
     value are each a ``ParseError`` naming the first line at fault.
 
     A file of ASCII text whose lines all split on the first non-blank line's
@@ -106,12 +108,19 @@ def load_features(path, labels_path=None) -> VideoFeatures:
 
 def _without_separator_controls(lines):
     """Yield the lines, raising ValueError at one holding U+001C..U+001F:
-    np.loadtxt strips these around a comma-separated field, where the
-    per-line reader's float cast rejects them."""
+    np.loadtxt strips these around a comma-separated field, and the
+    per-line reader rejects any line that holds one."""
     for line in lines:
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+        if _has_separator_control(line):
             raise ValueError("an ASCII separator control character")
         yield line
+
+
+def _has_separator_control(line: str) -> bool:
+    """Whether ``line`` holds one of U+001C..U+001F, which str.split() and
+    str.strip() take for whitespace and the float cast does not. Four
+    substring tests, which scan a long line much faster than a regex."""
+    return "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
 
 
 def _read_features_per_line(path: Path) -> np.ndarray:
@@ -121,10 +130,10 @@ def _read_features_per_line(path: Path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                if not line.strip() and not _has_separator_control(line):
                     continue
-                if "_" in line or not line.isascii():
-                    raise ParseError(f"{path}:{lineno}: bad feature value ('_' or a non-ASCII character)")
+                if "_" in line or not line.isascii() or _has_separator_control(line):
+                    raise ParseError(f"{path}:{lineno}: bad feature value ('_', non-ASCII or U+001C..U+001F)")
                 try:
                     row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
                 except ValueError as exc:

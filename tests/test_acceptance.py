@@ -19,6 +19,7 @@ from mmdseg import (
     TrainConfig,
     evaluate,
     generate_moving5,
+    generate_video,
     kernel_matrix,
     make_rng,
     segment_video,
@@ -273,3 +274,37 @@ def test_pinned_split_labels_are_pinned(table_runs):
     for seg in table_runs["segmentations"]:
         digest.update(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
     assert digest.hexdigest() == PINNED_LABEL_DIGEST
+
+
+# sha256 of the int64 labels, m = 5, 10 epochs and seed = video index, per
+# family: of the first five pinned-split videos, which train in the frames'
+# span, and of the pinned video projected to 60 dimensions as in
+# tests/test_learner.py's TestFrameSpan, which trains on rows. The same at 1
+# BLAS thread and at the default.
+FAMILY_LABEL_DIGESTS = {
+    "gauss": ("a4005fd55d99c7dbb17c4cda48b7c5ebc60744ed696445727c0dce8352b9bdb7",
+             "5bab02f2c1121832ca181292745c75b63aae7d92f5e86b6fbab12e685bdce23c"),
+    "nngp": ("a7fc4fe6df0e67a7e70dbad0f1b86efe092793d98dc4e1102f408ba27286de96",
+            "0b584999f456738d6433a6a35929c7b2db6860668c8611fe3ef2443fd8969b8e"),
+    "ntk": ("8b03c36aa32672c3b7a00193f53cf653688550c19f04180f23ca7adeb3e34bb2",
+           "70825eb17d245edc7ccaa4b0dcfb6181468ac4b5898b4c9dfb4b2f12edd04428"),
+    "ntk_sphere": ("62ecf7bc4971962cc14cf7ea835cf47d234437769e67fdd08d5bb691ddb84bf7",
+                  "712929b9e62007d991bde4a0783cfbf4e835738b926eddc45aebeddd8ae7e15b"),
+    "gauss_ntk": ("60ed62b21afff21f1034300523a5a9887a8213e7daeef8155c6a72592e46d971",
+                 "7734321034af11a96f5b616b9711e4821064f452815da5f4aff30866fbbf4f67"),
+    "gauss_ntk_sphere": ("c180ee2dd3780552affac6dd5aa71e3a019f2249df259e344d86f219a2bdb0d6",
+                        "e5dfe2c6d781c21e4d204282520156e742ab0e8b0a4dd10a19a56934862a38dd"),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_labels_are_pinned_in_every_family(moving5_test_split, family):
+    pinned = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+    projected = pinned @ make_rng(5).normal(size=(2352, 60)) / 50
+    for videos, expected in zip((moving5_test_split[:5], [VideoFeatures(frames=projected)]),
+                                FAMILY_LABEL_DIGESTS[family]):
+        digest = hashlib.sha256()
+        for i, v in enumerate(videos):
+            _, seg = segment_video(v, TrainConfig(m=5, epochs=10, seed=i, kernel=KernelSpec(family=family)))
+            digest.update(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == expected

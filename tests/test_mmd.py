@@ -380,6 +380,7 @@ class TestSimplexWeights:
         ([0.5, np.nan, 0.5], ValueError),
         ([np.inf, 0.0, 0.0], ValueError),
         ([0.0, 0.0, 0.0], ValueError),
+        ([1e308, 1e308, 0.0], ValueError),  # finite weights whose sum overflows
     ])
     def test_start_is_checked(self, start, error):
         with pytest.raises(ValueError, match="start") as raised:
@@ -462,9 +463,10 @@ class TestBatchPlan:
         batches = []
         grad = learner.mmd2_grad_y
 
-        def spy(x, y, spec, weights, x_rows):
+        def spy(x, y, spec, weights, x_rows, span):
+            assert span is None  # n >= d: the row path, so x holds the batch's rows
             batches.append([int(np.flatnonzero((frames == row).all(axis=1))[0]) for row in x])
-            return grad(x, y, spec, weights, x_rows)
+            return grad(x, y, spec, weights, x_rows, span)
 
         monkeypatch.setattr(learner, "mmd2_grad_y", spy)
         train_approximation(VideoFeatures(frames=frames), TrainConfig(m=m, epochs=epochs, seed=4))

@@ -149,7 +149,10 @@ class TestLoadFeatures:
         p.write_text("+3\n-2\n07\n")
         assert np.array_equal(load_labels(p), [3, -2, 7])
 
-    @pytest.mark.parametrize("line", ["1_0,2", "1,2_5", "\u0663,2", "\uff11 2", "1,2\u00a0"])
+    # U+001C..U+001F are whitespace to str.split() and str.strip(), so without
+    # the check "1\x1c2" would load as [1, 2] and a line of "\x1c" be blank.
+    @pytest.mark.parametrize("line", ["1_0,2", "1,2_5", "\u0663,2", "\uff11 2", "1,2\u00a0",
+                                      "1\x1c2", "1\x1d,2", "1,2\x1e", "\x1f", " \x1c "])
     def test_feature_line_with_digit_groups_or_non_ascii_reports_line(self, tmp_path, line):
         p = tmp_path / "feat.txt"
         p.write_text(f"1,2\n{line}\n3,4\n", encoding="utf-8")
@@ -185,7 +188,7 @@ class TestLoadFeatures:
         ("1,2\n \n3,4\n", [[1, 2], [3, 4]]),
         ("1,2\n3 4\n", [[1, 2], [3, 4]]),
         ("1 2\n3,4\n", [[1, 2], [3, 4]]),
-        ("1\x1c2\n", [[1, 2]]),
+        ("1\x1c2\n", ParseError),
         ("\ufeff1,2\n", [[1, 2]]),
     ], ids=["blank-line-in-comma-file", "comma-then-space", "space-then-comma",
             "separator-control", "byte-order-mark"])
@@ -195,7 +198,11 @@ class TestLoadFeatures:
         monkeypatch.setattr(preprocess, "_read_features_per_line", lambda path: calls.append(path) or per_line(path))
         p = tmp_path / "feat.txt"
         p.write_text(text, encoding="utf-8")
-        assert load_features(p).frames.tolist() == frames
+        if frames is ParseError:  # the per-line reader names the line
+            with pytest.raises(ParseError, match=r"feat\.txt:1: bad feature value"):
+                load_features(p)
+        else:
+            assert load_features(p).frames.tolist() == frames
         assert calls == [p]
 
     @pytest.mark.parametrize("text", ["", "\n \n\t\x0b\n"], ids=["empty", "blank-lines"])
