@@ -97,11 +97,12 @@ def _write_json(path, obj) -> None:
 
 
 def _write_csv(path, columns, rows) -> None:
+    """Write the per-video ``rows`` under ``columns``, then their mean row."""
+    mean = aggregate_rows(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows([*rows, {"video": "mean", **{k: mean.get(k) for k in columns[1:]}}])
 
 
 def cmd_gen(args) -> int:
@@ -180,8 +181,6 @@ def cmd_eval(args) -> int:
             doc, rep = _read_json(path, ("mof", "iou", "f1"), section="report")
             rows.append({"video": rep.get("video", doc.get("name", Path(path).stem)),
                          **{k: rep.get(k) for k in CSV_COLUMNS[1:]}})
-        mean = aggregate_rows(rows)
-        rows.append({"video": "mean", **{k: mean.get(k) for k in CSV_COLUMNS[1:]}})
         _write_csv(args.out, CSV_COLUMNS, rows)
         return 0
     if not args.pred or not args.labels:
@@ -253,8 +252,6 @@ def cmd_randm(args) -> int:
     collapsed = sum(1 for r in rows if r["n_labels_used"] < r["m_used"])
     for row in rows:
         row.pop("n_labels_used")
-    mean = aggregate_rows(rows)
-    rows.append({"video": "mean", **{k: mean.get(k) for k in RANDM_COLUMNS[1:]}})
     _write_csv(args.out, RANDM_COLUMNS, rows)
     print(f"{len(tasks)} videos; {collapsed} used fewer labels than their drawn M")
     return 0

@@ -58,17 +58,18 @@ divides the product by to get its cosines) and returns, in one pass,
 either the kernel values or the full coefficient matrices, so that MMD
 gradients reduce to matrix products. Each pass forms only what it
 returns: a gradient pass forms NTK values only for the product rule of
-the product families. It has three callers.
-``kernel_matrix`` forms one Gram product and both row sets' stats per call
-and takes the values. The trainer goes through ``_stacked_kernel``, which
-reads no rows: one pass over the Gram blocks ``y @ y.T`` and ``x @ y.T``
-stacked into an (m + n) x m array gives Kyy and Kxy together (their values
-for the loss terms, their coefficients for a step), from the row stats of
-both sets. Its callers form the blocks from rows, or, for prototypes held
-in the frames' span as ``Y = C X``, from G alone: ``y @ y.T = H C^T`` and
-``x @ y.T`` the batch's columns of ``H = C G``, transposed, with the
-prototypes' squared norms ``sum(H * C)`` (``_span_row_stats``).
-``resolve_spec`` runs the chain over a frame sample for the scales.
+the product families. It has two callers.
+``_stacked_pass`` forms every kernel block the method measures: one pass
+over the Gram blocks ``y @ y.T`` and ``x @ y.T`` stacked into an
+(m + n) x m array gives Kyy and Kxy together (their values for the loss
+terms, their coefficients for a step). It forms the blocks from rows, or,
+for prototypes held in the frames' span as ``Y = C X``, from G alone:
+``y @ y.T = H C^T`` and ``x @ y.T`` the batch's columns of ``H = C G``,
+transposed, with the prototypes' squared norms ``sum(H * C)``
+(``_span_row_stats``). ``kernel_matrix(a, b)`` is the cross block of that
+pass over ``[b; a]`` against ``b``, and the MMD terms and gradient read
+both blocks. ``resolve_spec`` runs the chain over a frame sample for the
+scales.
 """
 
 from __future__ import annotations
@@ -215,8 +216,8 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
     ``row_stats`` of ``a`` and ``b`` for rows of dimension ``d``. The
     leading ``n_self`` rows of ``a`` are the rows of ``b``, one or more
     times over, so their pair distances have an exactly zero diagonal.
-    Its callers: ``kernel_matrix`` for values, ``_stacked_kernel`` for the
-    trainer's pass and ``resolve_spec`` for the scales.
+    Its callers: ``_stacked_pass`` for every kernel block the method
+    measures and ``resolve_spec`` for the scales.
 
     The Gaussian and the raw NTK read the product as is; the ``_sphere`` NTK
     sees the rows divided by their norms, so it reads the cosines
@@ -292,29 +293,6 @@ def _kernel_core(gram: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, d: in
     return spec.alpha * (kg * u + kn_ug), spec.alpha * (kg * w - kn_ug)
 
 
-def _stacked_kernel(yy: np.ndarray, xy: np.ndarray, y_rows: np.ndarray, x_rows: np.ndarray,
-                    d: int, spec: KernelSpec, x_is_y: bool = False, grad: bool = False):
-    """The kernel of rows ``y`` stacked above rows ``x``, against ``y``, from
-    their Gram blocks ``yy = y @ y.T`` and ``xy = x @ y.T`` and their
-    ``row_stats`` ``y_rows`` and ``x_rows``, for rows of dimension ``d``:
-    rows ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(yy)``; with
-    ``grad``, the coefficients (U, W) of both blocks in place of the values.
-
-    One pass of ``_kernel_core`` over the stacked (m + n) x m array; no row
-    is read, so the blocks may come from the rows themselves or from any
-    basis that keeps their inner products (the trainer's frame span).
-    Every value equals that of ``kernel_matrix(y, y)`` and
-    ``kernel_matrix(x, y)`` on blocks formed from the rows: Kyy's diagonal
-    distances are zero, and Kxy's when ``x_is_y`` (``x`` equals ``y``).
-    """
-    m, n = yy.shape[0], xy.shape[0]
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    if x_rows.shape != (len(y_rows), n):
-        raise ShapeError(f"expected row stats of shape {(len(y_rows), n)} for {n} rows, got {x_rows.shape}")
-    return _kernel_core(np.concatenate((yy, xy)), np.concatenate((y_rows, x_rows), axis=1), y_rows, d,
-                        2 * m if x_is_y else m, spec, grad)
-
-
 def _span_row_stats(c: np.ndarray, h: np.ndarray, frames: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """``row_stats`` of the rows ``c @ frames`` from ``h = c @ frames @ frames.T``
     without forming them: their squared norms are ``sum(h * c)``. When one
@@ -326,14 +304,45 @@ def _span_row_stats(c: np.ndarray, h: np.ndarray, frames: np.ndarray, spec: Kern
     return sq[None, :] if spec.family not in SPHERE_FAMILIES else np.stack((sq, np.sqrt(sq)))
 
 
+def _stacked_pass(x, y, spec: KernelSpec, x_rows: np.ndarray, span=None, grad: bool = False):
+    """The kernel of rows ``y`` stacked above rows ``x``, against ``y``: rows
+    ``:m`` hold Kyy and rows ``m:`` Kxy, with ``m = len(y)``; with ``grad``,
+    the coefficients (U, W) of both blocks in place of the values.
+    ``x_rows`` is ``row_stats(x, spec)``; rows come checked by the caller.
+
+    One pass of ``_kernel_core`` over the Gram blocks ``y @ y.T`` and
+    ``x @ y.T`` stacked into an (m + n) x m array, formed from rows or in
+    the frames' span. From rows: ``x @ y.T`` as ``(y @ x.T).T`` (the m
+    prototypes on the left of the thin product) and the row stats of
+    ``y``; Kyy's diagonal distances are zero, and Kxy's when ``x`` equals
+    ``y``. In the span, ``span = (frames, gram)`` with ``gram = frames @
+    frames.T``, ``y`` is ``[C | H]``, the prototypes ``C @ frames`` beside
+    ``H = C @ gram``, and ``x`` indexes the frames: the blocks are
+    ``H @ C.T`` and ``H[:, x].T``, with ``_span_row_stats``, and no row is
+    formed.
+    """
+    if span is None:
+        blocks, y_rows, d = (y @ y.T, (y @ x.T).T), row_stats(y, spec), y.shape[1]
+    else:
+        frames, gram = span
+        c, h = y[:, :len(gram)], y[:, len(gram):]
+        blocks, y_rows, d = (h @ c.T, h[:, x].T), _span_row_stats(c, h, frames, spec), frames.shape[1]
+    n_self = 2 * len(y) if span is None and np.array_equal(x, y) else len(y)
+    n = len(blocks[1])
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    if x_rows.shape != (len(y_rows), n):
+        raise ShapeError(f"expected row stats of shape {(len(y_rows), n)} for {n} rows, got {x_rows.shape}")
+    return _kernel_core(np.concatenate(blocks), np.concatenate((y_rows, x_rows), axis=1), y_rows, d,
+                        n_self, spec, grad)
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel evaluations between the rows of ``a`` and the rows of ``b``:
-    one Gram product, with the operand of fewer rows on its left (``(b @
-    a.T).T`` when ``b`` is the shorter), and one pass of ``_kernel_core``."""
+    the cross block of ``_stacked_pass`` over ``[b; a]`` against ``b``.
+    Only that block is checked for non-finite values, so rows of ``b``
+    whose self-kernel overflows still give their finite cross values."""
     a, b = _as_pair(a, b, "kernel_matrix")
-    n_self = b.shape[0] if np.array_equal(a, b) else 0
-    gram = (b @ a.T).T if len(b) < len(a) else a @ b.T
-    values = _kernel_core(gram, row_stats(a, spec), row_stats(b, spec), a.shape[1], n_self, spec, grad=False)
+    values = _stacked_pass(a, b, spec, row_stats(a, spec))[len(b):]
     if not np.isfinite(values).all():
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     return values

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .kernels import KernelSpec, _as_pair, _span_row_stats, _stacked_kernel, row_stats
+from .kernels import KernelSpec, _as_pair, _stacked_pass
 
 __all__ = ["mmd2_terms", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 
@@ -24,36 +24,16 @@ __all__ = ["mmd2_terms", "mmd2_from_terms", "mmd2_grad_y", "simplex_weights"]
 WEIGHT_FLOOR = 1e-12
 
 
-def _kernel_pass(x, y, spec: KernelSpec, x_rows: np.ndarray, span=None, grad: bool = False):
-    """``_stacked_kernel`` over ``[y; x]`` against ``y``, from rows or in
-    the frames' span.
-
-    From rows: ``y @ y.T``, ``x @ y.T`` formed as ``(y @ x.T).T`` (the m
-    prototypes on the left of the thin product) and the row stats of ``y``.
-    In the span, ``span = (frames, gram)`` with ``gram = frames @ frames.T``,
-    ``y`` is ``[C | H]``, the prototypes ``C @ frames`` beside
-    ``H = C @ gram``, and ``x`` indexes the frames: the blocks are
-    ``H @ C.T`` and ``H[:, x].T``, and no row is formed. Rows come checked
-    by the caller.
-    """
-    if span is None:
-        return _stacked_kernel(y @ y.T, (y @ x.T).T, row_stats(y, spec), x_rows, y.shape[1], spec,
-                               np.array_equal(x, y), grad)
-    frames, gram = span
-    c, h = y[:, :len(gram)], y[:, len(gram):]
-    return _stacked_kernel(h @ c.T, h[:, x].T, _span_row_stats(c, h, frames, spec), x_rows,
-                           frames.shape[1], spec, grad=grad)
-
-
 def mmd2_terms(x, y, spec: KernelSpec, x_rows: np.ndarray,
                span=None) -> tuple[np.ndarray, np.ndarray]:
-    """Kyy and the column means of Kxy, from one stacked kernel pass over
-    ``[y; x]`` against ``y``; ``x_rows`` is ``row_stats(x, spec)``. With
-    ``span``, ``x`` and ``y`` are written in the frames' span, as in
-    ``mmd2_grad_y``."""
+    """Kyy and the column means of Kxy, both blocks of one
+    ``kernels._stacked_pass`` over ``[y; x]`` against ``y``; ``x_rows`` is
+    ``row_stats(x, spec)``. With ``span``, ``x`` and ``y`` are written in
+    the frames' span, as in ``mmd2_grad_y``. Kxy is the block
+    ``kernel_matrix(x, y)`` returns, formed by the same pass."""
     if span is None:
         x, y = _as_pair(x, y, "mmd2_terms")
-    k = _kernel_pass(x, y, spec, x_rows, span)
+    k = _stacked_pass(x, y, spec, x_rows, span)
     if not np.isfinite(k).all():
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     m = y.shape[0]
@@ -77,9 +57,10 @@ def mmd2_grad_y(x, y, spec: KernelSpec, weights: np.ndarray, x_rows: np.ndarray,
     once, its two symmetric contributions folded into the factor 2) minus
     (2/n) w_r sum_i grad_b k(x_i, y_r); uniform weights give the factors
     2/m^2 and 2/nm. Kernel gradients decompose as U * a + W * b, so both sums
-    reduce to matrix products. The coefficients of both come from one kernel
-    pass over the stacked (m + n) x m Gram products of ``[y; x]`` against
-    ``y``: rows ``:m`` are the self block, rows ``m:`` the cross block.
+    reduce to matrix products. The coefficients of both come from one
+    ``kernels._stacked_pass`` with ``grad``, over the stacked (m + n) x m
+    Gram products of ``[y; x]`` against ``y``: rows ``:m`` are the self
+    block, rows ``m:`` the cross block.
 
     In the frames' span (``span = (frames, gram)``, ``gram = frames @
     frames.T``): ``y`` is ``[C | C @ gram]`` for the prototypes ``C @
@@ -96,7 +77,7 @@ def mmd2_grad_y(x, y, spec: KernelSpec, weights: np.ndarray, x_rows: np.ndarray,
     if w.shape != (m,):
         raise ShapeError(f"expected {m} weights, got shape {w.shape}")
 
-    u, v = _kernel_pass(x, y, spec, x_rows, span, grad=True)
+    u, v = _stacked_pass(x, y, spec, x_rows, span, grad=True)
     n, u_cross = len(u) - m, u[m:].T  # the rows of x, and U^T of the cross block
     grad_self = u[:m].T @ (w[:, None] * y) + (w @ v[:m])[:, None] * y
     if span is None:

@@ -77,9 +77,10 @@ def load_features(path, labels_path=None) -> VideoFeatures:
     Each non-blank line is one frame, split on commas if it has any, else on
     whitespace; every field must parse as a float. A bad or empty field, a
     '_' or non-ASCII character (which the float parser would read as a digit
-    group or a digit), an ASCII separator control U+001C..U+001F on any
-    line, blank or not, a width other than the first row's and a non-finite
-    value are each a ``ParseError`` naming the first line at fault.
+    group or a digit; a line of Unicode spaces only is not blank), an ASCII
+    separator control U+001C..U+001F on any line, blank or not, a width
+    other than the first row's and a non-finite value are each a
+    ``ParseError`` naming the first line at fault.
 
     A file of ASCII text whose lines all split on the first non-blank line's
     separator, with finite values, is read by one ``np.loadtxt`` call; every
@@ -130,7 +131,7 @@ def _read_features_per_line(path: Path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip() and not _has_separator_control(line):
+                if line.isascii() and not line.strip() and not _has_separator_control(line):
                     continue
                 if "_" in line or not line.isascii() or _has_separator_control(line):
                     raise ParseError(f"{path}:{lineno}: bad feature value ('_', non-ASCII or U+001C..U+001F)")

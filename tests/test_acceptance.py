@@ -28,9 +28,9 @@ from mmdseg.baselines import kmeans_centroids, uniform_segmentation
 from mmdseg.cli import draw_m, main
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError
 from mmdseg.evaluation import solve_assignment
-from mmdseg.kernels import resolve_spec, row_stats
+from mmdseg.kernels import _stacked_pass, resolve_spec, row_stats
 from mmdseg.learner import PROFILES, Approximation, Segmentation, assign
-from mmdseg.mmd import _kernel_pass, mmd2_from_terms
+from mmdseg.mmd import mmd2_from_terms
 from mmdseg.preprocess import l2_normalize_rows, save_features, VideoFeatures
 from mmdseg.synthgen import REPEAT_CLASS
 
@@ -83,7 +83,7 @@ def test_criterion_1_kernel_gradient_oracle():
         spec = KernelSpec(family=family, lengthscale=2.0, alpha=1.3)
         for _ in range(50):
             a, b = rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)
-            u, w = _kernel_pass(a[None], b[None], spec, row_stats(a[None], spec), grad=True)
+            u, w = _stacked_pass(a[None], b[None], spec, row_stats(a[None], spec), grad=True)
             grad = u[1, 0] * a + w[1, 0] * b  # row 1: the cross block
             fd = finite_diff_grad(lambda m: kernel_matrix(a, m, spec)[0, 0], b[None, :], 1e-4)[0]
             rel = float(np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12))

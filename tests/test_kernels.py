@@ -15,8 +15,8 @@ from mmdseg import (
     sphere_project,
 )
 from mmdseg import kernels
-from mmdseg.kernels import SPHERE_FAMILIES, resolve_spec
-from mmdseg.mmd import _kernel_pass, mmd2_grad_y
+from mmdseg.kernels import SPHERE_FAMILIES, _stacked_pass, resolve_spec
+from mmdseg.mmd import mmd2_grad_y
 from mmdseg.learner import init_uniform_means
 from mmdseg.synthgen import SynthConfig, generate_video
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError, KernelSpecError, ShapeError
@@ -42,8 +42,8 @@ def nngp_ntk(a, b, spec):
 def grad_b(a, b, spec):
     """grad_b k(a_i, b_j) for every pair, shape (len(a), len(b), d), from the
     coefficient matrices of the trainer's own pass, the cross block of
-    ``mmd._kernel_pass`` over rows: U[i, j] a_i + W[i, j] b_j."""
-    u, w = (c[len(b):] for c in _kernel_pass(a, b, spec, kernels.row_stats(a, spec), grad=True))
+    ``kernels._stacked_pass`` over rows: U[i, j] a_i + W[i, j] b_j."""
+    u, w = (c[len(b):] for c in _stacked_pass(a, b, spec, kernels.row_stats(a, spec), grad=True))
     return u[:, :, None] * a[:, None, :] + w[:, :, None] * b[None, :, :]
 
 
@@ -539,9 +539,18 @@ class TestKernelMatrix:
         with pytest.raises(ShapeError):
             kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)), spec_for("gauss"))
 
+    @pytest.mark.parametrize("family, value", [("ntk", 1.9056761951668375e+150),
+                                               ("nngp", 1.0031673096879057e+150)])
+    def test_only_the_cross_block_is_checked(self, family, value):
+        # k(b, b) overflows in the self block the pass also forms; the cross
+        # value k(a, b) is finite and is returned, not a NumericError.
+        with np.errstate(over="ignore"):
+            got = kernel_matrix([[1.0, 0.0]], [[1e150, 0.0]], KernelSpec(family=family))
+        assert got.tolist() == [[value]]
+
 
 class TestKernelGradB:
-    """The coefficient matrices of the cross block of ``mmd._kernel_pass``
+    """The coefficient matrices of the cross block of ``kernels._stacked_pass``
     over every pair of several rows, as ``mmd2_grad_y`` consumes them."""
 
     @staticmethod

@@ -16,8 +16,8 @@ from mmdseg import (
 )
 from mmdseg import learner
 from mmdseg.errors import NumericError, ShapeError
-from mmdseg.kernels import SPHERE_FAMILIES
-from mmdseg.mmd import _kernel_pass, mmd2_from_terms, mmd2_terms, simplex_weights
+from mmdseg.kernels import SPHERE_FAMILIES, _stacked_pass
+from mmdseg.mmd import mmd2_from_terms, mmd2_terms, simplex_weights
 from mmdseg.synthgen import SynthConfig, generate_video
 
 from oracles import finite_diff_grad, mmd2_triple_loop, scalar_kernel_value, simplex_qp_by_supports
@@ -194,7 +194,10 @@ def test_row_sets_without_rows_are_rejected(x_rows, y_rows):
 
 class TestStackedPass:
     """The trainer's kernel pass: ``[Kyy; Kxy]`` from one pass over the
-    stacked Gram products, bit-equal to two separate ``kernel_matrix`` calls."""
+    stacked Gram products, bit-equal to two separate ``kernel_matrix`` calls.
+    ``kernel_matrix`` returns the cross block of this same pass, so the Kxy
+    half holds by construction; the Kyy half checks that the self block
+    equals the cross block of ``y`` against itself."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bit_equal_to_separate_calls(self, family):
@@ -203,7 +206,7 @@ class TestStackedPass:
         y = rng.normal(size=(5, 9))  # two diagonal distances of 1e-15 unless zeroed
         # n > m, a cross block equal to y (m = n, the untrained case), and n = m unequal.
         for x in (y.copy(), rng.normal(size=(7, 9)), rng.normal(size=(5, 9))):
-            stacked = _kernel_pass(x, y, spec, row_stats(x, spec))
+            stacked = _stacked_pass(x, y, spec, row_stats(x, spec))
             assert np.array_equal(stacked[:5], kernel_matrix(y, y, spec)), family
             assert np.array_equal(stacked[5:], kernel_matrix(x, y, spec)), family
 
@@ -213,10 +216,10 @@ class TestStackedPass:
         spec = spec_for("gauss")
         y = make_rng(67).normal(size=(5, 9))
         x = y.copy()
-        k = _kernel_pass(x, y, spec, row_stats(x, spec))
+        k = _stacked_pass(x, y, spec, row_stats(x, spec))
         assert np.all(np.diag(k[:5]) == 1.0) and np.all(np.diag(k[5:]) == 1.0)
         x[2, 0] += 1e-3
-        k = _kernel_pass(x, y, spec, row_stats(x, spec))
+        k = _stacked_pass(x, y, spec, row_stats(x, spec))
         assert np.all(np.diag(k[:5]) == 1.0) and k[7, 2] < 1.0
 
     @pytest.mark.parametrize("family", FAMILIES)

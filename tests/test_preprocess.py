@@ -151,8 +151,11 @@ class TestLoadFeatures:
 
     # U+001C..U+001F are whitespace to str.split() and str.strip(), so without
     # the check "1\x1c2" would load as [1, 2] and a line of "\x1c" be blank.
+    # str.strip() also empties a line of NBSP, U+2003 or U+3000, which is
+    # non-ASCII and so an error, not a blank line.
     @pytest.mark.parametrize("line", ["1_0,2", "1,2_5", "\u0663,2", "\uff11 2", "1,2\u00a0",
-                                      "1\x1c2", "1\x1d,2", "1,2\x1e", "\x1f", " \x1c "])
+                                      "1\x1c2", "1\x1d,2", "1,2\x1e", "\x1f", " \x1c ",
+                                      "\u00a0", "\u2003", "\u3000"])
     def test_feature_line_with_digit_groups_or_non_ascii_reports_line(self, tmp_path, line):
         p = tmp_path / "feat.txt"
         p.write_text(f"1,2\n{line}\n3,4\n", encoding="utf-8")

@@ -4,9 +4,9 @@ The package ships only what its pipeline and its command line run, so each
 exported name must be referenced somewhere in ``src/mmdseg`` outside its
 own definition. A re-export in ``__init__.py`` is not a use, and neither is
 an import that nothing reads. The kernel's closed form is written once,
-inside its elementwise chain, and the chain has three callers, so no
-second copy of the kernel, and no second way into it, can grow beside
-the chain.
+inside its elementwise chain, and the chain has two callers, the block
+former and the scales, so no second copy of the kernel, and no second
+way into it, can grow beside the chain.
 """
 
 import ast
@@ -66,11 +66,17 @@ def test_the_closed_form_is_written_once():
     assert callers == [("kernels", "_kernel_core")]
 
 
-def test_the_kernel_chain_has_three_callers():
-    # Values, the trainer's stacked pass and the scales: no second way into
-    # ``kernels._kernel_core``.
-    callers = [(module, getattr(stmt, "name", None)) for module, tree in _trees().items() for stmt in tree.body
-               for node in ast.walk(stmt)
-               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_kernel_core"]
-    assert sorted(callers) == [("kernels", "_stacked_kernel"), ("kernels", "kernel_matrix"),
-                               ("kernels", "resolve_spec")]
+def test_the_kernel_chain_has_two_callers():
+    # The block former and the scales: no second way into
+    # ``kernels._kernel_core``. Every other function that reaches the chain
+    # does so through ``kernels._stacked_pass``.
+    calls = {(module, stmt.name): {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                                   for node in ast.walk(stmt) if isinstance(node, ast.Call)}
+             for module, tree in _trees().items() for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    callers = sorted(key for key, called in calls.items() if "_kernel_core" in called)
+    assert callers == [("kernels", "_stacked_pass"), ("kernels", "resolve_spec")]
+    reaches = {"_kernel_core"}
+    while grown := {name for (_, name), called in calls.items() if called & reaches} - reaches:
+        reaches |= grown
+    for key in (("kernels", "kernel_matrix"), ("mmd", "mmd2_terms"), ("mmd", "mmd2_grad_y")):
+        assert calls[key] & reaches == {"_stacked_pass"}, key
