@@ -39,8 +39,9 @@ of the kernel: ``_kernel_core`` runs over that product in blocks of
 ``RESOLVE_BLOCK`` rows. It returns the sample, the resolved kernel's mean
 over it (the trainer's mean(Kxx), exactly the mean of ``kernel_matrix`` on
 the sample), the row stats of the frames and of the sample, and, when the
-sample is every frame, that Gram product G = X X^T of the frames, which the
-trainer reads in place of the frames' rows.
+sample is every frame and the frames are fewer than their width, that Gram
+product G = X X^T of the frames, which the trainer reads in place of the
+frames' rows.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -340,9 +341,11 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel evaluations between the rows of ``a`` and the rows of ``b``:
     the cross block of ``_stacked_pass`` over ``[b; a]`` against ``b``.
     Only that block is checked for non-finite values, so rows of ``b``
-    whose self-kernel overflows still give their finite cross values."""
+    whose self-kernel overflows still give their finite cross values, and
+    without a warning about the block they are dropped with."""
     a, b = _as_pair(a, b, "kernel_matrix")
-    values = _stacked_pass(a, b, spec, row_stats(a, spec))[len(b):]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _stacked_pass(a, b, spec, row_stats(a, spec))[len(b):]
     if not np.isfinite(values).all():
         raise NumericError(f"kernel family {spec.family!r} produced non-finite values")
     return values
@@ -359,8 +362,8 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     ``sample_rows`` its columns for the sample, which the trainer reuses.
     One Gram product of the sample's raw rows with the squared row norms
     gives the pair distances; ``gram`` is that product, intact, when the
-    sample is every frame (the trainer's frame span), else None. Over the
-    distinct pairs come
+    sample is every frame and there are fewer frames than dimensions (the
+    trainer's frame span), else None. Over the distinct pairs come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -396,6 +399,7 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     rng = rng if rng is not None else make_rng(0)
     family = spec.family
     whole = n <= MAX_SCALE_FRAMES  # the sample is every frame
+    span = whole and n < d  # the trainer's frame span, which reads ``gram``
     keep = slice(None) if whole else np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
     frame_rows = row_stats(x, spec)
     sample, sample_rows = x[keep], frame_rows[:, keep]
@@ -423,7 +427,7 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
         resolved = replace(resolved, input_scale=math.sqrt(d / med_sq))
         ntk = replace(resolved, family=family.removeprefix("gauss_"))
         # A block reads only product entries that no earlier block wrote.
-        kn = gram.copy() if whole else gram
+        kn = gram.copy() if span else gram
         for lo in range(0, m, RESOLVE_BLOCK):
             hi = min(lo + RESOLVE_BLOCK, m)
             kn[lo:hi, lo:] = _kernel_core(kn[lo:hi, lo:], sample_rows[:, lo:hi], sample_rows[:, lo:],
@@ -445,4 +449,4 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     kxx_mean = float(np.mean(k))
     if not math.isfinite(kxx_mean):
         raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
-    return resolved, sample, kxx_mean, frame_rows, sample_rows, gram if whole else None
+    return resolved, sample, kxx_mean, frame_rows, sample_rows, gram if span else None

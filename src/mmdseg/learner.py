@@ -163,8 +163,9 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     takes its columns), and one stacked kernel pass, Kyy above Kxy, per
     gradient step and per loss evaluation.
 
-    Which representation runs reads only the frames' shape. A video of at
-    most ``MAX_SCALE_FRAMES`` frames, fewer than its width d, trains in the
+    Which representation runs reads only the frames' shape, and
+    ``resolve_spec`` decides it: it returns G only for a video of at most
+    ``MAX_SCALE_FRAMES`` frames, fewer than its width d, which trains in the
     frames' span: every step keeps each prototype a combination of the
     frames, ``Y = C X``, so the prototypes are held as ``[C | H]`` with
     ``H = C G`` and G = X X^T, the Gram product ``resolve_spec`` formed once.
@@ -178,7 +179,7 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     no epochs ``init_uniform_means`` itself.
     """
     frames = np.asarray(v.frames, dtype=np.float64)
-    n, d = frames.shape
+    n = len(frames)
     if cfg.m > n:
         raise ValueError(f"m = {cfg.m} exceeds the {n} available frames")
 
@@ -186,10 +187,9 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     # both the logged loss and the refit weights.
     spec, sample, kxx_mean, frame_rows, sample_rows, gram = resolve_spec(frames, cfg.kernel,
                                                                          make_rng(cfg.seed, 0))
-    init = init_uniform_means(frames, cfg.m)
-    span = (frames, gram) if gram is not None and n < d else None
+    span = (frames, gram) if gram is not None else None
     if span is None:
-        y, sample_x = init, sample
+        y, sample_x = init_uniform_means(frames, cfg.m), sample
     else:  # [C | C G], C the uniform spans' averaging weights; the sample is every frame
         c = np.zeros((cfg.m, n))
         for j, (lo, hi) in enumerate(uniform_spans(n, cfg.m)):
@@ -216,7 +216,7 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
         weights = simplex_weights(kyy, kxy_mean, start=weights)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))
     if span is not None:
-        y = y[:, :n] @ frames if cfg.epochs > 0 else init
+        y = y[:, :n] @ frames if cfg.epochs > 0 else init_uniform_means(frames, cfg.m)
     return Approximation(prototypes=y, spec=spec, train_log=train_log, weights=weights)
 
 

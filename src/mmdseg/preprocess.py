@@ -13,19 +13,20 @@ int64, otherwise all tokens are interned to integers in first-appearance
 order.
 A leading byte-order mark is not data in either file.
 
-Two readers parse a feature file. ``np.loadtxt`` reads a well-formed ASCII
-file in C with one separator, picked from the first non-blank line. Any
-file it does not take goes to the per-line reader, which checks each line
-and names the first bad one. Both give the same frames on the files the
-first accepts, so a file's frames and errors do not depend on the reader.
+A feature file is read in one pass. Each line is checked as it is read,
+and the rows go, fields joined by commas, to one ``np.loadtxt`` call, which
+parses them in C. Only a file that call does not read into finite frames
+is walked a second time, to name its first bad line.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -82,73 +83,77 @@ def load_features(path, labels_path=None) -> VideoFeatures:
     other than the first row's and a non-finite value are each a
     ``ParseError`` naming the first line at fault.
 
-    A file of ASCII text whose lines all split on the first non-blank line's
-    separator, with finite values, is read by one ``np.loadtxt`` call; every
-    other file by ``_read_features_per_line``, which gives the same frames
-    on the files ``np.loadtxt`` takes.
+    One pass reads the file: ``_feature_rows`` checks each line and hands
+    its row, fields joined by commas, to one ``np.loadtxt`` call, so the
+    file streams and any mix of separators reads alike. Only when that call
+    raises or gives a non-finite value does ``_name_bad_row`` walk the rows
+    again to name the first one at fault.
     """
     path = Path(path)
-    frames = None
+    rows = (row for _, row in _feature_rows(path))
+    first = next(rows, None)  # np.loadtxt warns on a file without rows
+    if first is None:
+        raise ParseError(f"{path}: no feature rows found")
     try:
-        # The open handle, never the path: np.loadtxt decompresses a path
-        # ending in ".gz", ".bz2" or ".xz". ASCII, because decoded as UTF-8
-        # it strips NBSP and other Unicode spaces around a field.
-        with open(path, "r", encoding="ascii") as fh:
-            first = next((line for line in fh if line.strip()), None)
-            if first is not None:
-                fh.seek(0)
-                frames = np.loadtxt(_without_separator_controls(fh), dtype=np.float64,
-                                    delimiter="," if "," in first else None, comments=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError is a ValueError
-        pass
+        frames = np.loadtxt(itertools.chain((first,), rows), dtype=np.float64, delimiter=",",
+                            comments=None, ndmin=2)
+    except ValueError:  # ParseError is a ValueError
+        frames = None
+    finally:
+        rows.close()  # a rejected file's pass may stop part way, its file open
     if frames is None or not np.all(np.isfinite(frames)):
-        frames = _read_features_per_line(path)
+        _name_bad_row(path)
     labels = load_labels(labels_path) if labels_path is not None else None
     return VideoFeatures(frames=frames, labels=labels, name=path.stem.removesuffix("_features"))
 
 
-def _without_separator_controls(lines):
-    """Yield the lines, raising ValueError at one holding U+001C..U+001F:
-    np.loadtxt strips these around a comma-separated field, and the
-    per-line reader rejects any line that holds one."""
-    for line in lines:
-        if _has_separator_control(line):
-            raise ValueError("an ASCII separator control character")
-        yield line
-
-
-def _has_separator_control(line: str) -> bool:
-    """Whether ``line`` holds one of U+001C..U+001F, which str.split() and
-    str.strip() take for whitespace and the float cast does not. Four
-    substring tests, which scan a long line much faster than a regex."""
-    return "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
-
-
-def _read_features_per_line(path: Path) -> np.ndarray:
-    """The frames of a feature file, each line checked where it is read, so
-    the first bad line is the one a ``ParseError`` names."""
-    rows: list[np.ndarray] = []
+def _utf8_lines(path: Path):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file. The
+    codec drops a leading byte-order mark; a file that does not decode is a
+    ``ParseError`` naming it."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.isascii() and not line.strip() and not _has_separator_control(line):
-                    continue
-                if "_" in line or not line.isascii() or _has_separator_control(line):
-                    raise ParseError(f"{path}:{lineno}: bad feature value ('_', non-ASCII or U+001C..U+001F)")
-                try:
-                    row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
-                if rows and row.size != rows[0].size:
-                    raise ParseError(f"{path}:{lineno}: expected {rows[0].size} values, got {row.size}")
-                if not np.all(np.isfinite(row)):
-                    raise ParseError(f"{path}:{lineno}: non-finite feature values")
-                rows.append(row)
+            yield from enumerate(fh, start=1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
-    if not rows:
-        raise ParseError(f"{path}: no feature rows found")
-    return np.stack(rows)
+
+
+def _feature_rows(path: Path):
+    """Yield ``(line number, row)`` for each non-blank line of a feature
+    file: a line with a comma as it stands, any other with its whitespace
+    fields joined by commas. A line holding '_', a non-ASCII character or
+    U+001C..U+001F is a ``ParseError`` naming it: str.split() and the float
+    parser take U+001C..U+001F and Unicode spaces for whitespace, and the
+    float parser reads '_' as a digit group and non-ASCII digits as digits.
+    Substring tests scan a long line much faster than a regex."""
+    for lineno, line in _utf8_lines(path):
+        if ("_" in line or not line.isascii()
+                or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            raise ParseError(f"{path}:{lineno}: bad feature value ('_', non-ASCII or U+001C..U+001F)")
+        if "," in line:
+            yield lineno, line
+        elif fields := line.split():
+            yield lineno, ",".join(fields)
+
+
+def _name_bad_row(path: Path) -> NoReturn:
+    """Raise the ``ParseError`` for the first row of a file that
+    ``np.loadtxt`` did not read into finite frames: a bad value, then a
+    width other than the first row's, then a non-finite value. A file
+    whose rows all pass is still a ``ParseError``, so this never yields
+    frames."""
+    width = None
+    for lineno, row in _feature_rows(path):
+        try:
+            values = np.array(row.split(","), dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
+        width = width or values.size
+        if values.size != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} values, got {values.size}")
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"{path}:{lineno}: non-finite feature values")
+    raise ParseError(f"{path}: np.loadtxt rejected rows that each parse")
 
 
 def load_labels(path) -> np.ndarray:
@@ -158,14 +163,10 @@ def load_labels(path) -> np.ndarray:
     ``ParseError`` naming the file (and the line, for the integer)."""
     path = Path(path)
     tokens, linenos = [], []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if tok := line.strip():
-                    tokens.append(tok)
-                    linenos.append(lineno)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    for lineno, line in _utf8_lines(path):
+        if tok := line.strip():
+            tokens.append(tok)
+            linenos.append(lineno)
     if not tokens:
         raise ParseError(f"{path}: no labels found")
     if not all(INT_TOKEN.fullmatch(t) for t in tokens):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from mmdseg.errors import NumericError
+from mmdseg.errors import NumericError, ParseError
 from mmdseg.kernels import CLAMP_EPS
 
 
@@ -250,3 +250,35 @@ def per_class_set_metrics(pred, gt, label_map):
             "recall": inter / len(gt_set) if gt_set else 0.0,
         }
     return out
+
+
+def _has_separator_control(line):
+    return "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+
+
+def read_features_per_line(path):
+    """The frames of a feature file, each line checked and converted where
+    it is read, so the first bad line is the one a ``ParseError`` names:
+    the reference that ``load_features``'s frames and errors must equal."""
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isascii() and not line.strip() and not _has_separator_control(line):
+                    continue
+                if "_" in line or not line.isascii() or _has_separator_control(line):
+                    raise ParseError(f"{path}:{lineno}: bad feature value ('_', non-ASCII or U+001C..U+001F)")
+                try:
+                    row = np.array(line.split(",") if "," in line else line.split(), dtype=np.float64)
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{lineno}: bad feature value ({exc})") from None
+                if rows and row.size != rows[0].size:
+                    raise ParseError(f"{path}:{lineno}: expected {rows[0].size} values, got {row.size}")
+                if not np.all(np.isfinite(row)):
+                    raise ParseError(f"{path}:{lineno}: non-finite feature values")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+    if not rows:
+        raise ParseError(f"{path}: no feature rows found")
+    return np.stack(rows)

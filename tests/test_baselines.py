@@ -52,6 +52,10 @@ class TestKmeans:
         final_wcss = float(sum(np.sum((frames[i] - centroids[labels[i]]) ** 2) for i in range(30)))
         assert final_wcss <= seed_wcss + 1e-9
 
+    def test_rejects_m_above_n(self):
+        with pytest.raises(ValueError, match="kmeans needs at least 3 frames, got 2"):
+            kmeans_centroids(np.eye(2), 3, make_rng(0))
+
     def test_deterministic(self):
         frames = make_rng(94).normal(size=(25, 3))
         a = kmeans_centroids(frames, 4, make_rng(7))

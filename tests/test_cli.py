@@ -340,6 +340,12 @@ class TestEval:
         for key in ("mof", "iou", "f1", "boundary_accuracy"):
             assert abs(embedded[key] - recomputed[key]) < 1e-12
 
+    @pytest.mark.parametrize("flags", [[], ["--pred", "pred.json"], ["--labels", "l_labels.txt"]],
+                             ids=["neither", "no-labels", "no-pred"])
+    def test_missing_pred_or_labels_exit_3(self, tmp_path, capsys, flags):
+        assert main(["eval", *flags, "--out", str(tmp_path / "r.json")]) == 3
+        assert "[ConsistencyError]: eval needs --pred and --labels" in capsys.readouterr().err
+
     def test_length_mismatch_exit_3(self, tmp_path):
         feat, labs = write_blob_video(tmp_path)
         seg = {"name": "v", "n_frames": 5, "frame_labels": [0, 0, 1, 1, 1],
@@ -567,6 +573,14 @@ class TestRandm:
                      "--out", str(out)]) == 3
         assert "[ValueError]: --boundary-tol must be nonnegative, got -1" in capsys.readouterr().err
         assert trained == [] and not out.exists()
+
+    def test_no_feature_files_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        save_labels(data / "x_labels.txt", [0, 1])
+        assert main(["randm", "--features-dir", str(data), "--mbar", "2",
+                     "--out", str(tmp_path / "o.csv")]) == 3
+        assert f"[ConsistencyError]: no *_features.txt files under {data}" in capsys.readouterr().err
 
     def test_missing_labels_exit_3(self, tmp_path):
         data = tmp_path / "data"

@@ -3,7 +3,7 @@ import pytest
 
 from mmdseg import boundary_accuracy, evaluate, make_rng
 from mmdseg.errors import ConsistencyError, EmptyEvalError
-from mmdseg.evaluation import solve_assignment
+from mmdseg.evaluation import aggregate_rows, solve_assignment
 
 from oracles import boundary_accuracy_quadratic, brute_force_assignment, per_class_set_metrics
 
@@ -24,6 +24,10 @@ class TestSolveAssignment:
         rows = solve_assignment(-overlap)
         total = sum(overlap[rows[j], j] for j in range(5))
         assert total == pytest.approx(brute_force_assignment(overlap), abs=1e-9)
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match=r"needs a square matrix, got \(2, 3\)"):
+            solve_assignment(np.zeros((2, 3)))
 
 
 class TestHungarianMatch:
@@ -127,6 +131,14 @@ class TestBoundaryAccuracy:
             got = boundary_accuracy(pred, gt, tolerance=3)
             assert got == pytest.approx(boundary_accuracy_quadratic(pred, gt, 3), abs=1e-15)
 
+    @pytest.mark.parametrize("n_pred, tolerance, error, message", [
+        (4, 1, ConsistencyError, "pred has 4 frames but gt has 3"),
+        (3, -1, ValueError, "tolerance must be nonnegative"),
+    ], ids=["length-mismatch", "negative-tolerance"])
+    def test_rejects(self, n_pred, tolerance, error, message):
+        with pytest.raises(error, match=message):
+            boundary_accuracy(np.zeros(n_pred, dtype=int), np.zeros(3, dtype=int), tolerance=tolerance)
+
 
 class TestEvaluate:
     def test_perfect_segmentation(self):
@@ -186,3 +198,8 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ConsistencyError):
             evaluate(np.zeros(5, dtype=int), np.zeros(6, dtype=int))
+
+
+def test_aggregate_rows_rejects_no_rows():
+    with pytest.raises(ValueError, match="nothing to aggregate"):
+        aggregate_rows([])

@@ -230,12 +230,15 @@ class TestResolveSpec:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gram_of_the_frames_only_when_the_sample_is_every_frame(self, family, monkeypatch):
         # The trainer's frame span reads this product, so the NTK factor
-        # must not have written over it.
+        # must not have written over it. With N >= d there is no span and
+        # no product is returned.
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
-        for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30)):
+        square = frames[:40] @ make_rng(5).normal(size=(frames.shape[1], 40))  # N = d
+        for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30),
+                       (square, kernels.MAX_SCALE_FRAMES)):
             monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
             gram = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))[5]
-            if len(f) <= cap:
+            if len(f) <= cap and len(f) < f.shape[1]:
                 assert np.array_equal(gram, f @ f.T)
             else:
                 assert gram is None
@@ -285,6 +288,11 @@ class TestNtkBase:
         k0aa = spec.sigma_w_sq / 2
         assert nngp == pytest.approx(spec.sigma_w_sq * k0aa / (2 * math.pi), rel=1e-6)
         assert ntk == pytest.approx(nngp, rel=1e-6)  # K0(a,b) = 0 kills the dot term
+
+    def test_zero_row_without_bias_is_named(self):
+        # K0(a, a) = 0, so the cosine K0(a, b) / sqrt(K0(a, a) K0(b, b)) is undefined.
+        with pytest.raises(DegenerateInputError, match="zero-variance input"):
+            kernel_matrix([[0.0, 0.0]], [[1.0, 0.0]], KernelSpec(family="ntk", sigma_b_sq=0.0))
 
     def test_matches_finite_width_network(self):
         # Desk-size version; the full-width run lives in the acceptance suite.
@@ -543,8 +551,10 @@ class TestKernelMatrix:
                                                ("nngp", 1.0031673096879057e+150)])
     def test_only_the_cross_block_is_checked(self, family, value):
         # k(b, b) overflows in the self block the pass also forms; the cross
-        # value k(a, b) is finite and is returned, not a NumericError.
-        with np.errstate(over="ignore"):
+        # value k(a, b) is finite and is returned, not a NumericError, and
+        # the dropped block warns about nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = kernel_matrix([[1.0, 0.0]], [[1e150, 0.0]], KernelSpec(family=family))
         assert got.tolist() == [[value]]
 

@@ -3,12 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mmdseg import preprocess
 from mmdseg import VideoFeatures, l2_normalize_rows, load_features, load_labels, make_rng, temporal_smooth
 from mmdseg.errors import ConsistencyError, DegenerateInputError, ParseError
 from mmdseg.preprocess import save_features, save_labels, smoothing_window
 
-from oracles import direct_convolution
+from oracles import direct_convolution, read_features_per_line
 
 # What the differential test builds feature files from: float syntax, both
 # separators, ASCII controls that str.split() or np.loadtxt treat as blank,
@@ -110,6 +109,12 @@ class TestLoadFeatures:
         p.write_text("4\n2\n4\n")
         assert np.array_equal(load_labels(p), [4, 2, 4])
 
+    def test_label_file_without_tokens_is_named(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text("\n \n\t\n")
+        with pytest.raises(ParseError, match=r"labels\.txt: no labels found"):
+            load_labels(p)
+
     def test_label_round_trip(self, tmp_path):
         p = tmp_path / "labels.txt"
         save_labels(p, [3, 1, 2, 2])
@@ -164,28 +169,15 @@ class TestLoadFeatures:
 
     @pytest.mark.parametrize("read, text", [
         (lambda p: load_features(p).frames, "1,2\n3,4\n"),
-        (preprocess._read_features_per_line, "1 2\n\n3 4\n"),
         (load_labels, "0\n0\n1\n"),
         (load_labels, "walk\nrun\nwalk\n"),
-    ], ids=["features", "per-line-reader", "integer-labels", "named-labels"])
+    ], ids=["features", "integer-labels", "named-labels"])
     def test_leading_byte_order_mark_is_not_data(self, tmp_path, read, text):
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
         plain.write_text(text, encoding="utf-8")
         marked.write_text("\ufeff" + text, encoding="utf-8")
         expected, got = read(plain), read(marked)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-
-    def test_well_formed_files_skip_the_per_line_reader(self, tmp_path, monkeypatch):
-        def refuse(path):
-            raise AssertionError(f"per-line reader reached for {path}")
-
-        monkeypatch.setattr(preprocess, "_read_features_per_line", refuse)
-        frames = make_rng(77).normal(size=(5, 3))
-        p = tmp_path / "feat.txt"
-        save_features(p, frames)
-        assert load_features(p).frames.tobytes() == frames.tobytes()
-        p.write_text("1 2\n3\t4\n")
-        assert load_features(p).frames.tolist() == [[1, 2], [3, 4]]
 
     @pytest.mark.parametrize("text, frames", [
         ("1,2\n \n3,4\n", [[1, 2], [3, 4]]),
@@ -195,18 +187,14 @@ class TestLoadFeatures:
         ("\ufeff1,2\n", [[1, 2]]),
     ], ids=["blank-line-in-comma-file", "comma-then-space", "space-then-comma",
             "separator-control", "byte-order-mark"])
-    def test_files_np_loadtxt_rejects_go_to_the_per_line_reader(self, tmp_path, monkeypatch, text, frames):
-        calls = []
-        per_line = preprocess._read_features_per_line
-        monkeypatch.setattr(preprocess, "_read_features_per_line", lambda path: calls.append(path) or per_line(path))
+    def test_mixed_separators_blank_lines_and_a_byte_order_mark(self, tmp_path, text, frames):
         p = tmp_path / "feat.txt"
         p.write_text(text, encoding="utf-8")
-        if frames is ParseError:  # the per-line reader names the line
+        if frames is ParseError:
             with pytest.raises(ParseError, match=r"feat\.txt:1: bad feature value"):
                 load_features(p)
         else:
             assert load_features(p).frames.tolist() == frames
-        assert calls == [p]
 
     @pytest.mark.parametrize("text", ["", "\n \n\t\x0b\n"], ids=["empty", "blank-lines"])
     def test_file_without_rows_is_named_without_a_numpy_warning(self, tmp_path, text):
@@ -217,7 +205,7 @@ class TestLoadFeatures:
             with pytest.raises(ParseError, match=r"feat\.txt: no feature rows found"):
                 load_features(p)
 
-    def test_fast_read_agrees_with_the_per_line_reader(self, tmp_path, monkeypatch):
+    def test_fast_read_agrees_with_the_per_line_reader(self, tmp_path):
         """On a few thousand small files, mostly near-valid, ``load_features``
         gives the per-line reader's frames byte for byte, or its error."""
         rng = make_rng(78)
@@ -257,24 +245,21 @@ class TestLoadFeatures:
             except ParseError as exc:
                 return str(exc)
 
-        per_line_reader, fallbacks = preprocess._read_features_per_line, []
-        monkeypatch.setattr(preprocess, "_read_features_per_line",
-                            lambda path: fallbacks.append(path) or per_line_reader(path))
         p = tmp_path / "feat.txt"
         accepted = 0
         for _ in range(3000):
             text = feature_text()
             p.write_text(text, encoding="utf-8")
             fast = outcome(lambda path: load_features(path).frames, p)
-            per_line = outcome(per_line_reader, p)
+            per_line = outcome(read_features_per_line, p)
             if isinstance(per_line, str):
                 assert isinstance(fast, str) and fast == per_line, repr(text)
             else:
                 accepted += 1
                 assert isinstance(fast, np.ndarray), repr(text)
                 assert fast.shape == per_line.shape and fast.tobytes() == per_line.tobytes(), repr(text)
-        # Both outcomes are exercised, and np.loadtxt reads many of the files.
-        assert 600 < accepted < 2400 and len(fallbacks) < 2500
+        # Both outcomes are exercised.
+        assert 600 < accepted < 2400
 
 
 class TestL2Normalize:

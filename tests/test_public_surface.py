@@ -6,7 +6,8 @@ own definition. A re-export in ``__init__.py`` is not a use, and neither is
 an import that nothing reads. The kernel's closed form is written once,
 inside its elementwise chain, and the chain has two callers, the block
 former and the scales, so no second copy of the kernel, and no second
-way into it, can grow beside the chain.
+way into it, can grow beside the chain. One ``np.loadtxt`` call reads
+every feature file.
 """
 
 import ast
@@ -48,6 +49,14 @@ def _used(trees, module, name):
     return False
 
 
+def _callers_of(func):
+    """(module, top-level definition) of every call to ``func``, by name or attribute."""
+    return [(module, getattr(stmt, "name", None)) for module, tree in _trees().items() for stmt in tree.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+            and func in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 def test_every_exported_name_is_used_in_the_package():
     trees = _trees()
     exports = [(module, name) for module, tree in trees.items() for name in _exported(tree)]
@@ -59,11 +68,13 @@ def test_every_exported_name_is_used_in_the_package():
 def test_the_closed_form_is_written_once():
     # The NTK's arc-cosine closed form lives in the one elementwise chain,
     # ``kernels._kernel_core``, and nowhere else.
-    callers = [(module, getattr(stmt, "name", None)) for module, tree in _trees().items() for stmt in tree.body
-               for node in ast.walk(stmt)
-               if isinstance(node, ast.Call)
-               and "arccos" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert callers == [("kernels", "_kernel_core")]
+    assert _callers_of("arccos") == [("kernels", "_kernel_core")]
+
+
+def test_feature_files_have_one_reader():
+    # One ``np.loadtxt`` call reads every feature file; no second reader
+    # that must give the same frames can grow beside it.
+    assert _callers_of("loadtxt") == [("preprocess", "load_features")]
 
 
 def test_the_kernel_chain_has_two_callers():
