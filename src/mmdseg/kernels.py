@@ -36,12 +36,15 @@ in one pass. It forms the ``row_stats`` of all frames, samples at most
 ``MAX_SCALE_FRAMES`` frames once and takes the pair statistics of every
 median from one Gram product of the raw sample. Its NTK factor is no copy
 of the kernel: ``_kernel_core`` runs over that product in blocks of
-``RESOLVE_BLOCK`` rows. It returns the sample, the resolved kernel's mean
-over it (the trainer's mean(Kxx), exactly the mean of ``kernel_matrix`` on
-the sample), the row stats of the frames and of the sample, and, when the
-sample is every frame and the frames are fewer than their width, that Gram
-product G = X X^T of the frames, which the trainer reads in place of the
-frames' rows.
+``RESOLVE_BLOCK`` pairs. Beyond the frames, it holds that product (and,
+when it returns it, a copy for the NTK factor), one more matrix of pair
+values and one copy of the pairs a median reads, and a drawn sample only
+while it forms the product. It returns the sample, the resolved kernel's
+mean over it (the trainer's mean(Kxx), exactly the mean of
+``kernel_matrix`` on the sample), the row stats of the frames and of the
+sample, and, when the sample is every frame and the frames are fewer than
+their width, that Gram product G = X X^T of the frames, which the trainer
+reads in place of the frames' rows.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -106,9 +109,11 @@ SPHERE_FAMILIES = ("ntk_sphere", "gauss_ntk_sphere")
 
 # Frames sampled (seeded) when a video's scales are taken from its frames.
 MAX_SCALE_FRAMES = 2000
-# Sample rows per ``_kernel_core`` pass in ``resolve_spec``. On a 2000-frame sample
-# 256 rows peak within 5 MiB of the medians' peak; 512 rows go 40 MiB above it.
-RESOLVE_BLOCK = 256
+# Sample pairs per block in ``resolve_spec``: RESOLVE_BLOCK // m rows of an m-frame
+# sample (at least one), so samples of up to 362 frames run as one block. On a
+# 2000-frame sample, 2^15 to 2^17 pairs keep the blocks below the medians' peak
+# (82.1 MiB) at the same speed; 2^18 pairs go 2.8 MiB above it and 2^19 23 MiB.
+RESOLVE_BLOCK = 2**17
 # The arccos argument is clamped to [-1 + CLAMP_EPS, 1 - CLAMP_EPS].
 CLAMP_EPS = 1e-7
 
@@ -363,7 +368,10 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     One Gram product of the sample's raw rows with the squared row norms
     gives the pair distances; ``gram`` is that product, intact, when the
     sample is every frame and there are fewer frames than dimensions (the
-    trainer's frame span), else None. Over the distinct pairs come
+    trainer's frame span), else None. A drawn sample is gathered for the
+    product, freed, and gathered again on return, once the pair arrays are
+    gone; the distances are formed without a temporary of their size. Over
+    the distinct pairs, each median partitioned in one copy, come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -381,9 +389,12 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
 
     The NTK factor runs through ``_kernel_core``, as every kernel value
     does, so K0(a, a) comes from the squared row norms. It takes blocks of
-    ``RESOLVE_BLOCK`` sample rows against the columns from the block's first
-    row on, each written over the part of the Gram product it consumed (of a
-    copy, when ``gram`` is returned) and mirrored below the block.
+    ``RESOLVE_BLOCK // m`` of the m sample rows against the columns from the
+    block's first row on, each written over the part of the Gram product it
+    consumed (of a copy, when ``gram`` is returned) and mirrored below the
+    block. So the pass holds at most the Gram product (and that copy), the
+    Gaussian values or distances over every pair, one pair copy and one
+    block's temporaries, or, earlier, a drawn sample beside the product.
     ``kxx_mean`` is the resolved kernel's mean over all ordered pairs of the
     sample, diagonal included, equal to
     ``kernel_matrix(sample, sample, spec).mean()``: the mean(Kxx) of the
@@ -402,20 +413,23 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     span = whole and n < d  # the trainer's frame span, which reads ``gram``
     keep = slice(None) if whole else np.sort(rng.choice(n, size=MAX_SCALE_FRAMES, replace=False))
     frame_rows = row_stats(x, spec)
-    sample, sample_rows = x[keep], frame_rows[:, keep]
-    m, sq = sample.shape[0], sample_rows[0]
+    sample_rows = frame_rows[:, keep]
+    m, sq = sample_rows.shape[1], sample_rows[0]
+    rows = max(1, RESOLVE_BLOCK // m)
+    sample = x[keep]
     gram = sample @ sample.T
-    sqdist = sqdist_from_gram(gram, sq, sq, m)
+    del sample  # its only use in the pass; gathered again on return
+    sqdist = sqdist_from_gram(gram, sq, sq, m, rows)
     upper = np.triu(np.ones((m, m), dtype=bool), 1)  # the distinct pairs
     noise = d * np.finfo(np.float64).eps * float(np.max(sq))
-    lengthscale = median(sqdist[upper])
+    lengthscale = median(sqdist, upper)
     if lengthscale <= noise:
-        moving = sqdist[upper & (sqdist > noise)]
-        if moving.size == 0:
+        moving = upper & (sqdist > noise)
+        if not moving.any():
             raise DegenerateScaleError(
                 "every sampled squared distance is zero or rounding noise (are all frames identical?)"
             )
-        lengthscale = median(moving)
+        lengthscale = median(sqdist, moving)
         del moving
     resolved = replace(spec, lengthscale=lengthscale)
     k = _gauss(sqdist, resolved) if family in GAUSS_FAMILIES else None  # over sqdist
@@ -428,16 +442,16 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
         ntk = replace(resolved, family=family.removeprefix("gauss_"))
         # A block reads only product entries that no earlier block wrote.
         kn = gram.copy() if span else gram
-        for lo in range(0, m, RESOLVE_BLOCK):
-            hi = min(lo + RESOLVE_BLOCK, m)
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
             kn[lo:hi, lo:] = _kernel_core(kn[lo:hi, lo:], sample_rows[:, lo:hi], sample_rows[:, lo:],
                                           d, hi - lo, ntk, grad=False)
             kn[hi:, lo:hi] = kn[lo:hi, hi:].T
         if family in PRODUCT_FAMILIES:
-            med_ntk = median(kn[upper])
+            med_ntk = median(kn, upper)
             if med_ntk <= 0.0:
                 raise DegenerateScaleError("median NTK value is not positive; cannot rescale")
-            med_gauss = median(k[upper])
+            med_gauss = median(k, upper)
             if med_gauss == 0.0:
                 raise DegenerateScaleError(
                     "median Gaussian value underflows to zero (are most frames near-identical?)"
@@ -449,4 +463,6 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     kxx_mean = float(np.mean(k))
     if not math.isfinite(kxx_mean):
         raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
-    return resolved, sample, kxx_mean, frame_rows, sample_rows, gram if span else None
+    k = kn = upper = None  # the pair arrays go before the sample is gathered again
+    gram = gram if span else None
+    return resolved, x[keep], kxx_mean, frame_rows, sample_rows, gram

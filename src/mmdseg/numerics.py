@@ -49,31 +49,43 @@ def pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sqdist_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
-                     n_self: int) -> np.ndarray:
+                     n_self: int, rows: int | None = None) -> np.ndarray:
     """``pairwise_sqdist(a, b)`` from the Gram product ``a @ b.T`` and the
     squared row norms of ``a`` and ``b``, for callers that already hold them.
 
     The leading ``n_self`` rows of ``a`` are the rows of ``b``, in order and
     one or more times over (0 when they are not): each such block of
-    ``len(b)`` rows gets an exactly zero diagonal.
+    ``len(b)`` rows gets an exactly zero diagonal. With ``rows``, ``2 * gram``
+    is subtracted that many rows at a time, so that no temporary of the
+    product's size is formed; the values are the same.
     """
-    d = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
+    if rows is None:
+        d = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
+    else:
+        d = sq_a[:, None] + sq_b[None, :]
+        for lo in range(0, len(d), rows):
+            d[lo:lo + rows] -= 2.0 * gram[lo:lo + rows]
     np.maximum(d, 0.0, out=d)
     for lo in range(0, n_self, d.shape[1]):  # a strided store on each block's diagonal
         d[lo:min(lo + d.shape[1], n_self)].flat[::d.shape[1] + 1] = 0.0
     return d
 
 
-def median(values) -> float:
+def median(values, where: np.ndarray | None = None) -> float:
     """Lower median: for even lengths the smaller of the two middle elements.
+    With a boolean mask ``where`` of the shape of ``values``, the median of
+    the entries it selects.
 
     Always returns an element of the input, which keeps data-derived scales
-    deterministic across platforms.
+    deterministic across platforms. It never writes to ``values``: it
+    partitions one copy of the entries it reads, in place.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = np.asarray(values, dtype=np.float64)
+    v = v.flatten() if where is None else v[where]
     if v.size == 0:
         raise ValueError("median of an empty sequence")
     if not np.all(np.isfinite(v)):
         raise NumericError("median: input contains non-finite values")
     k = (v.size - 1) // 2
-    return float(np.partition(v, k)[k])
+    v.partition(k)
+    return float(v[k])

@@ -7,11 +7,12 @@ vectorized library paths it is used to verify.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from mmdseg.errors import NumericError, ParseError
-from mmdseg.kernels import CLAMP_EPS
+from mmdseg.kernels import CLAMP_EPS, PRODUCT_FAMILIES, SPHERE_FAMILIES, kernel_matrix
 
 
 def finite_diff_grad(f, x, h=1e-4):
@@ -49,6 +50,44 @@ def naive_pairwise_sqdist(a, b):
                 acc += (a[i, k] - b[j, k]) ** 2
             out[i, j] = acc
     return out
+
+
+def partition_median(values):
+    """Lower median of a 1-D array by ``np.partition``."""
+    k = (values.size - 1) // 2
+    return float(np.partition(values, k)[k])
+
+
+def whole_matrix_scales(frames, spec, keep):
+    """(lengthscale, input_scale, alpha, kxx_mean) of ``resolve_spec`` on the
+    sample ``frames[keep]``, by the same arithmetic over whole matrices: the
+    distance matrix in one expression, ``np.partition`` lower medians over
+    the upper-triangle pairs, and the NTK factor from ``kernel_matrix`` (whose
+    own oracle is ``scalar_kernel_value``). Degenerate scales are not
+    handled."""
+    x = np.asarray(frames, dtype=np.float64)
+    d = x.shape[1]
+    sample = x[keep]
+    sq = np.sum(sample * sample, axis=1)
+    sqdist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (sample @ sample.T), 0.0)
+    np.fill_diagonal(sqdist, 0.0)
+    upper = np.triu_indices(len(sample), 1)
+    pairs = sqdist[upper]
+    lengthscale = partition_median(pairs)
+    noise = d * np.finfo(np.float64).eps * float(np.max(sq))
+    if lengthscale <= noise:
+        lengthscale = partition_median(pairs[pairs > noise])
+    kg = np.exp(-sqdist / lengthscale**2)
+    if spec.family == "gauss":
+        return lengthscale, 1.0, 1.0, float(np.mean(kg))
+    med_sq = 1.0 if spec.family in SPHERE_FAMILIES else partition_median(np.sum(x * x, axis=1))
+    input_scale = math.sqrt(d / med_sq)
+    ntk = replace(spec, family=spec.family.removeprefix("gauss_"), input_scale=input_scale)
+    kn = kernel_matrix(sample, sample, ntk)
+    if spec.family not in PRODUCT_FAMILIES:
+        return lengthscale, input_scale, 1.0, float(np.mean(kn))
+    alpha = partition_median(kg[upper]) / partition_median(kn[upper])
+    return lengthscale, input_scale, alpha, float(np.mean(alpha * kn * kg))
 
 
 def scalar_kernel_value(a, b, spec):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from oracles import (
     finite_diff_grad,
     naive_pairwise_sqdist,
     scalar_kernel_value,
+    whole_matrix_scales,
 )
 
 
@@ -242,6 +244,48 @@ class TestResolveSpec:
                 assert np.array_equal(gram, f @ f.T)
             else:
                 assert gram is None
+
+
+    @pytest.mark.parametrize("block", [kernels.RESOLVE_BLOCK, 1000])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_scales_equal_the_whole_matrix_reference_bit_for_bit(self, family, block, monkeypatch):
+        # Unsampled (the frame span, and 6-D rows), sampled (cap 40), and a
+        # still frame held for 70 of 90 frames, whose lengthscale median runs
+        # over the nonzero distances. At 1000 pairs a block, a 90-frame
+        # sample takes its distances and NTK factor 11 rows at a time.
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
+        still = np.vstack([np.repeat(frames[:1], 70, axis=0), frames[:20]])
+        every = kernels.MAX_SCALE_FRAMES
+        monkeypatch.setattr(kernels, "RESOLVE_BLOCK", block)
+        for f, cap in ((frames, every), (make_rng(52).normal(size=(70, 6)), every), (frames, 40), (still, every)):
+            monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
+            keep = slice(None) if len(f) <= cap else np.sort(make_rng(3, 0).choice(len(f), size=cap, replace=False))
+            spec, _, kxx_mean, *_ = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
+            got = (spec.lengthscale, spec.input_scale, spec.alpha, kxx_mean)
+            assert got == whole_matrix_scales(f, KernelSpec(family=family), keep), (len(f), cap)
+
+    @pytest.mark.parametrize("shape, cap", [((800, 3000), 600), ((1000, 8), 2000)])
+    def test_the_pass_holds_the_gram_and_distance_matrices_only(self, shape, cap, monkeypatch):
+        # A drawn sample that outweighs its Gram product (600 of 800 frames,
+        # 3000-D), and 1000 narrow frames whose pair matrices outweigh the
+        # block temporaries. The bound is what the pass must hold: the sample
+        # beside the product, or the product, the distances and one copy of
+        # the distinct pairs, whichever is more, plus twelve arrays of one
+        # block's pairs, for the ten that the ``_sphere`` value chain holds
+        # at once, the pair mask and the per-row arrays.
+        monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
+        frames = make_rng(53).normal(size=shape)
+        m, d = min(shape[0], cap), shape[1]
+        sample, matrix, pairs = 8 * m * d, 8 * m * m, 8 * (m * (m - 1) // 2)
+        bound = max(sample + matrix, 2 * matrix + pairs) + 12 * 8 * kernels.RESOLVE_BLOCK
+        for family in FAMILIES:
+            tracemalloc.start()
+            try:
+                resolve_spec(frames, KernelSpec(family=family))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (family, peak, bound)
 
 
 class TestSpanRowStats:

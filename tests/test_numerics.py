@@ -60,6 +60,15 @@ class TestMedian:
         with pytest.raises(ValueError):
             median([])
 
+    def test_selects_by_mask_and_never_writes_its_input(self):
+        vals = make_rng(17).normal(size=(9, 9))
+        before = vals.copy()
+        upper = np.triu(np.ones((9, 9), dtype=bool), 1)
+        assert median(vals, upper) == sorted(vals[upper])[17]
+        assert median(vals) == sorted(vals.ravel())[40]
+        assert median(vals[0]) == sorted(vals[0])[4]
+        assert np.array_equal(vals, before)
+
 
 class TestFiniteDiff:
     def test_linear_function(self):
