@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import NumericError
 from .learner import Segmentation, uniform_spans
 from .numerics import pairwise_sqdist
 
@@ -21,11 +22,9 @@ KMEANS_ITERS = 100
 
 
 def uniform_segmentation(n: int, m: int) -> Segmentation:
-    """m contiguous near-equal spans, span j labeled j."""
-    labels = np.empty(n, dtype=np.int64)
-    for j, (s, e) in enumerate(uniform_spans(n, m)):
-        labels[s:e] = j
-    return Segmentation.from_labels(labels)
+    """m contiguous near-equal spans, span j labeled j: the spans of
+    ``uniform_spans``, so the first ``n % m`` are one frame longer."""
+    return Segmentation.from_labels(np.repeat(np.arange(m), [e - s for s, e in uniform_spans(n, m)]))
 
 
 def _kmeans_pp_seed(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,16 +48,21 @@ def _kmeans_pp_seed(frames: np.ndarray, m: int, rng: np.random.Generator) -> np.
 def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm; returns (centroids, labels).
 
+    It runs on the frames less their mean, which is added back to the
+    returned centroids: the distances come from Gram products, which cancel
+    when an offset common to every frame dominates their norms.
     Each empty cluster is re-seeded to a different point: the one farthest
     from its assigned centroid among the points whose cluster keeps another
     member, so no reseed empties a cluster (there are at least m points).
     The within-cluster sum of squares is checked to be finite and
-    non-increasing at every iteration.
+    non-increasing at every iteration; a failed check is a ``NumericError``.
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[0]
     if n < m:
         raise ValueError(f"kmeans needs at least {m} frames, got {n}")
+    mean = frames.mean(axis=0)
+    frames = frames - mean
     centroids = _kmeans_pp_seed(frames, m, rng)
     prev_obj = np.inf
     labels = None
@@ -80,11 +84,11 @@ def kmeans_centroids(frames: np.ndarray, m: int, rng: np.random.Generator) -> tu
 
         obj = float(closest.sum())
         if not (math.isfinite(obj) and obj <= prev_obj + 1e-9 * max(1.0, abs(prev_obj))):
-            raise AssertionError(f"k-means objective increased or is not finite: {prev_obj} -> {obj}")
+            raise NumericError(f"k-means objective increased or is not finite: {prev_obj} -> {obj}")
         prev_obj = obj
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels
         for j in range(m):
             centroids[j] = frames[labels == j].mean(axis=0)
-    return centroids, labels
+    return centroids + mean, labels

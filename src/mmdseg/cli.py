@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--features", required=True)
     p_seg.add_argument("--labels")
     p_seg.add_argument("--m", type=int, required=True, help="number of prototypes / spans")
-    p_seg.add_argument("--kernel", choices=FAMILIES, default="gauss_ntk")
+    p_seg.add_argument("--kernel", choices=FAMILIES, default=TrainConfig.kernel)
     p_seg.add_argument("--epochs", type=int, default=None)
     p_seg.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p_seg.add_argument("--wd", type=float, default=TrainConfig.weight_decay)
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--mbar", type=int, required=True, help="average number of actions")
     p_rm.add_argument("--mode", choices=sorted(NOISY_M_PRESETS), default="synthetic")
     p_rm.add_argument("--method", choices=["ours", "uniform"], default="ours")
-    p_rm.add_argument("--kernel", choices=FAMILIES, default="gauss_ntk")
+    p_rm.add_argument("--kernel", choices=FAMILIES, default=TrainConfig.kernel)
     p_rm.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
     p_rm.add_argument("--boundary-tol", type=int, default=3)
     p_rm.add_argument("--seed", type=int, default=0)
@@ -139,7 +139,7 @@ def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
     centers, labels = kmeans_centroids(prepped.frames, cfg.m, make_rng(cfg.seed, 10))
     if method == "kmeans":
         return Segmentation.from_labels(labels), []
-    spec = resolve_spec(prepped.frames, cfg.kernel, make_rng(cfg.seed, 0))[0]
+    spec = resolve_spec(prepped.frames, KernelSpec(family=cfg.kernel), make_rng(cfg.seed, 0))[0]
     uniform = np.full(cfg.m, 1.0 / cfg.m)
     return assign(prepped, Approximation(prototypes=centers, spec=spec, train_log=[], weights=uniform)), []
 
@@ -148,7 +148,7 @@ def cmd_segment(args) -> int:
     video = load_features(args.features, labels_path=args.labels)
     epochs = args.epochs if args.epochs is not None else _default_epochs(args.profile)
     cfg = TrainConfig(m=args.m, epochs=epochs, learning_rate=args.lr,
-                      weight_decay=args.wd, seed=args.seed, kernel=KernelSpec(family=args.kernel))
+                      weight_decay=args.wd, seed=args.seed, kernel=args.kernel)
     seg, train_log = _segment_by(args.baseline or "ours", video, cfg, _segment_profile(args))
     payload = {"name": video.name, **seg.to_dict(), "train_log": train_log}
     if video.labels is not None:
@@ -206,17 +206,20 @@ def draw_m(mbar: int, mode: str, rng: np.random.Generator) -> int:
 
 
 def _randm_task(payload):
-    (feat_path, labels_path, m_drawn, method, kernel_family, profile_name,
-     mode, train_seed, boundary_tol) = payload
+    """Segment and score one video of ``randm``. ``payload`` is ``(features
+    path, labels path, drawn m, train seed, args)``; the method, kernel,
+    profile, mode and boundary tolerance are read from the parsed ``args``.
+    Returns the video's CSV row, plus the count of labels it used."""
+    feat_path, labels_path, m_drawn, train_seed, args = payload
     video = load_features(feat_path, labels_path=labels_path)
     m_used = min(max(1, m_drawn), video.n_frames)
     if m_used != m_drawn:
         print(f"note: {Path(feat_path).stem}: drawn M {m_drawn} clamped to {m_used}", file=sys.stderr)
-    preset = NOISY_M_PRESETS[mode]
+    preset = NOISY_M_PRESETS[args.mode]
     cfg = TrainConfig(m=m_used, epochs=preset["epochs"], weight_decay=preset["weight_decay"],
-                      seed=train_seed, kernel=KernelSpec(family=kernel_family))
-    seg, _ = _segment_by(method, video, cfg, PROFILES[profile_name])
-    report = evaluate(seg, video.labels, boundary_tol=boundary_tol)
+                      seed=train_seed, kernel=args.kernel)
+    seg, _ = _segment_by(args.method, video, cfg, PROFILES[args.profile])
+    report = evaluate(seg, video.labels, boundary_tol=args.boundary_tol)
     return {
         "video": video.name, "m_used": m_used, "mof": report.mof, "iou": report.iou,
         "f1": report.f1, "boundary_accuracy": report.boundary_accuracy,
@@ -239,8 +242,7 @@ def cmd_randm(args) -> int:
             raise ConsistencyError(f"missing label file for {feat.name}")
         m_drawn = draw_m(args.mbar, args.mode, make_rng(args.seed, 50, idx))
         train_seed = int(np.random.SeedSequence([args.seed, 51, idx]).generate_state(1)[0])
-        tasks.append((str(feat), str(labels), m_drawn, args.method, args.kernel,
-                      args.profile, args.mode, train_seed, args.boundary_tol))
+        tasks.append((str(feat), str(labels), m_drawn, train_seed, args))
 
     if args.jobs > 1:
         # The fork start method starts every worker at the first submit.
@@ -275,7 +277,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -21,7 +21,7 @@ rows of Y. ``Approximation.prototypes`` holds rows either way (``C @ X``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,16 +46,23 @@ __all__ = [
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run: plain gradient steps with
-    decoupled weight decay at ``learning_rate``."""
+    decoupled weight decay at ``learning_rate``.
+
+    ``kernel`` names the kernel family; an unknown name is a
+    ``KernelSpecError``. The family is the only kernel choice a run makes:
+    ``resolve_spec`` derives the lengthscale, input scale and alpha from the
+    video, and the NTK variances keep ``KernelSpec``'s defaults.
+    """
 
     m: int
     epochs: int = 100
     learning_rate: float = 5e-2
     weight_decay: float = 1e-3
     seed: int = 0
-    kernel: KernelSpec = field(default_factory=KernelSpec)
+    kernel: str = KernelSpec.family
 
     def __post_init__(self):
+        KernelSpec(family=self.kernel)
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if self.epochs < 0:
@@ -113,7 +120,8 @@ class Segmentation:
 
 
 def uniform_spans(n: int, m: int) -> list[tuple[int, int]]:
-    """Split 0..n into m contiguous spans, longer spans first.
+    """Split 0..n into m contiguous spans, ``np.array_split``'s: the first
+    ``n % m`` spans hold ``n // m + 1`` frames, the rest ``n // m``.
 
     Shared by the uniform-mean initializer and the uniform baseline so both
     always agree on boundaries.
@@ -122,14 +130,7 @@ def uniform_spans(n: int, m: int) -> list[tuple[int, int]]:
         raise ValueError("m must be at least 1")
     if n < m:
         raise ValueError(f"cannot split {n} frames into {m} spans")
-    base, extra = divmod(n, m)
-    spans = []
-    start = 0
-    for j in range(m):
-        size = base + (1 if j < extra else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
+    return [(int(s[0]), int(s[-1]) + 1) for s in np.array_split(np.arange(n), m)]
 
 
 def init_uniform_means(frames: np.ndarray, m: int) -> np.ndarray:
@@ -185,8 +186,8 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
 
     # Refit and loss run on the scale sample; each epoch's Kyy and Kxy give
     # both the logged loss and the refit weights.
-    spec, sample, kxx_mean, frame_rows, sample_rows, gram = resolve_spec(frames, cfg.kernel,
-                                                                         make_rng(cfg.seed, 0))
+    spec, sample, kxx_mean, frame_rows, sample_rows, gram = resolve_spec(
+        frames, KernelSpec(family=cfg.kernel), make_rng(cfg.seed, 0))
     span = (frames, gram) if gram is not None else None
     if span is None:
         y, sample_x = init_uniform_means(frames, cfg.m), sample

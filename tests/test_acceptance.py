@@ -305,6 +305,6 @@ def test_labels_are_pinned_in_every_family(moving5_test_split, family):
                                 FAMILY_LABEL_DIGESTS[family]):
         digest = hashlib.sha256()
         for i, v in enumerate(videos):
-            _, seg = segment_video(v, TrainConfig(m=5, epochs=10, seed=i, kernel=KernelSpec(family=family)))
+            _, seg = segment_video(v, TrainConfig(m=5, epochs=10, seed=i, kernel=family))
             digest.update(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
         assert digest.hexdigest() == expected

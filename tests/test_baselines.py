@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from mmdseg import KernelSpec, VideoFeatures, assign, make_rng, uniform_segmentation
+from mmdseg import baselines
 from mmdseg.baselines import _kmeans_pp_seed, kmeans_centroids
+from mmdseg.errors import NumericError
 from mmdseg.learner import Approximation, uniform_spans
+from mmdseg.numerics import pairwise_sqdist
+from mmdseg.synthgen import SynthConfig, generate_video
 
 from oracles import scalar_kernel_value
 
@@ -72,6 +76,30 @@ class TestKmeans:
             centroids, labels = kmeans_centroids(frames, m, make_rng(0, 10))
         assert np.all(np.isfinite(centroids))
         assert sorted(set(labels.tolist())) == list(range(m))
+
+
+    def test_a_large_common_offset_still_clusters(self):
+        # Distances from Gram products cancel once an offset common to every
+        # frame dominates their norms; k-means runs on the centered frames.
+        # The labels are not compared with the unshifted run's: the shifted
+        # input is itself rounded, and a k-means++ draw can move.
+        frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames + 1e6
+        centroids, labels = kmeans_centroids(frames, 5, make_rng(0, 10))
+        assert centroids.shape == (5, frames.shape[1]) and np.all(np.isfinite(centroids))
+        assert sorted(set(labels.tolist())) == list(range(5))
+        assert np.all(np.abs(centroids - 1e6) <= 1.0)  # the offset is added back
+
+    def test_an_increasing_objective_is_a_numeric_error(self, monkeypatch):
+        # Distances that grow on every call make the objective increase.
+        calls = []
+
+        def growing(a, b):
+            calls.append(None)
+            return len(calls) * pairwise_sqdist(a, b)
+
+        monkeypatch.setattr(baselines, "pairwise_sqdist", growing)
+        with pytest.raises(NumericError, match="k-means objective increased"):
+            kmeans_centroids(make_rng(95).normal(size=(30, 3)), 3, make_rng(0))
 
 
 class TestKernelKmeansAssign:

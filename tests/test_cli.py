@@ -11,7 +11,7 @@ import mmdseg.cli as cli
 from mmdseg.cli import draw_m, main
 from mmdseg.numerics import make_rng
 from mmdseg.preprocess import save_features, save_labels
-from mmdseg.synthgen import SynthConfig, generate_moving5
+from mmdseg.synthgen import SynthConfig, generate_moving5, generate_video
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "mmdseg" / "schemas"
 
@@ -131,6 +131,14 @@ class TestSegment:
                          "--m", "2", "--baseline", baseline, "--out", str(out)]) == 0
             payload = json.loads(out.read_text())
             assert payload["report"]["mof"] == 1.0  # blobs are trivially separable
+
+    def test_kmeans_under_a_large_common_offset_exits_0(self, tmp_path):
+        feat = tmp_path / "offset_features.txt"
+        save_features(feat, generate_video(make_rng(0), SynthConfig(seed=0)).frames + 1e6)
+        out = tmp_path / "o.json"
+        assert main(["segment", "--features", str(feat), "--m", "5", "--baseline", "kmeans",
+                     "--out", str(out)]) == 0
+        assert len(set(json.loads(out.read_text())["frame_labels"])) == 5
 
     def test_missing_features_file_exit_2(self, tmp_path):
         assert main(["segment", "--features", str(tmp_path / "nope.txt"),

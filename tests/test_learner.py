@@ -21,7 +21,7 @@ from mmdseg import (
 )
 from mmdseg import kernels, learner
 from mmdseg.learner import PROFILES, Profile, preprocess_video
-from mmdseg.errors import DegenerateScaleError, ShapeError
+from mmdseg.errors import DegenerateInputError, DegenerateScaleError, KernelSpecError, ShapeError
 from mmdseg.mmd import mmd2_from_terms, simplex_weights
 from mmdseg.synthgen import SynthConfig, generate_moving5, generate_video
 
@@ -87,6 +87,11 @@ class TestTrainConfig:
     def test_accepts_zero_weight_decay(self):
         assert TrainConfig(m=2, weight_decay=0.0).weight_decay == 0.0
 
+    def test_kernel_names_a_family(self):
+        assert TrainConfig(m=2).kernel == KernelSpec().family
+        with pytest.raises(KernelSpecError, match="unknown kernel family 'rbf'"):
+            TrainConfig(m=2, kernel="rbf")
+
 
 class TestTrainApproximation:
     def test_zero_epochs_returns_init(self):
@@ -148,7 +153,7 @@ class TestTrainApproximation:
         frame = generate_video(make_rng(0), SynthConfig(seed=0)).frames[:1]
         frames = np.repeat(frame, 50, axis=0) + 1e-9 * make_rng(1).normal(size=(50, frame.shape[1]))
         for family in FAMILIES:
-            cfg = TrainConfig(m=5, epochs=1, kernel=KernelSpec(family=family))
+            cfg = TrainConfig(m=5, epochs=1, kernel=family)
             with pytest.raises(DegenerateScaleError, match="rounding noise"):
                 segment_video(VideoFeatures(frames=frames), cfg)
 
@@ -173,7 +178,7 @@ class TestTrainApproximation:
         v = VideoFeatures(frames=f, name="sampled")
         for s in (0, 1):
             cfg = TrainConfig(m=3, epochs=0, seed=s)
-            spec, sample = kernels.resolve_spec(f, cfg.kernel, make_rng(s, 0))[:2]
+            spec, sample = kernels.resolve_spec(f, KernelSpec(family=cfg.kernel), make_rng(s, 0))[:2]
             assert len(sample) == 30
             log = train_approximation(v, cfg).train_log
             assert log[0] == pytest.approx(mmd2(sample, init_uniform_means(f, 3), spec), rel=1e-9)
@@ -230,7 +235,7 @@ class TestFrameSpan:
                                                               epochs):
         n, d = frames.shape
         padded = np.hstack((frames, np.zeros((n, 200 - d))))
-        cfg = TrainConfig(m=m, epochs=epochs, seed=0, kernel=KernelSpec(family=family))
+        cfg = TrainConfig(m=m, epochs=epochs, seed=0, kernel=family)
         rows, seg_rows, path_rows = self.train(monkeypatch, frames, cfg)
         span, seg_span, path_span = self.train(monkeypatch, padded, cfg)
         assert (path_rows, path_span) == ("rows", "span")
@@ -250,7 +255,7 @@ class TestWarmRefit:
     def train(self, family):
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
         train_approximation(VideoFeatures(frames=frames),
-                            TrainConfig(m=self.M, epochs=self.EPOCHS, kernel=KernelSpec(family=family)))
+                            TrainConfig(m=self.M, epochs=self.EPOCHS, kernel=family))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_warm_refit_returns_the_cold_bytes(self, monkeypatch, family):
@@ -417,6 +422,55 @@ class TestSegmentVideo:
         assert np.array_equal(got.frames, expected.frames)
 
 
+# Legitimate but awkward videos, each made from the pinned 90 x 2352 video x,
+# as (frames from x, m, profile).
+AWKWARD_VIDEOS = {
+    "identical": (lambda x: np.repeat(x[:1], 90, axis=0), 5, "synthetic"),
+    "noise-1e-9": (lambda x: x[:1] + 1e-9 * make_rng(1).normal(size=x.shape), 5, "synthetic"),
+    "one-black-frame": (lambda x: np.where((np.arange(90) == 40)[:, None], 0.0, x), 5, "synthetic"),
+    "ramp": (lambda x: np.arange(90.0)[:, None], 5, "synthetic"),
+    "offset-1e3": (lambda x: x + 1e3, 5, "synthetic"),
+    "two-frames-45x": (lambda x: np.repeat(x[[0, 60]], 45, axis=0), 2, "synthetic"),
+    "n2-m2": (lambda x: x[[0, 60]], 2, "synthetic"),
+    "static-90pct": (lambda x: np.vstack((x[:9], np.repeat(x[9:10], 81, axis=0))), 5, "synthetic"),
+    "m-equals-n": (lambda x: x[::15], 6, "synthetic"),
+    "long-6000x64": (lambda x: make_rng(2).normal(size=(6000, 64)), 5, "long"),
+}
+
+
+class TestAwkwardVideos:
+    """Every awkward video gets a segmentation or a named degeneracy error
+    (a ``DegenerateScaleError`` or ``DegenerateInputError`` with a message),
+    in every family. Any other error, a ``NumericError``, a
+    ``KernelSpecError`` or a bare ``ValueError`` from an internal invariant,
+    fails the cell. The rule, not each cell's outcome, is what is asserted,
+    so a fix that turns a named error into a segmentation needs no edit
+    here. The short wide videos train in the frames' span; the ramp and the
+    6000 x 64 video train on rows."""
+
+    EPOCHS = 5
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return generate_video(make_rng(0), SynthConfig(seed=0)).frames
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("case", AWKWARD_VIDEOS)
+    def test_segments_or_names_the_degeneracy(self, pinned, case, family):
+        make, m, profile = AWKWARD_VIDEOS[case]
+        frames = make(pinned)
+        cfg = TrainConfig(m=m, epochs=self.EPOCHS, kernel=family)
+        try:
+            approx, seg = segment_video(VideoFeatures(frames=frames, name=case), cfg, PROFILES[profile])
+        except (DegenerateScaleError, DegenerateInputError) as exc:
+            assert str(exc)
+            return
+        assert seg.n_frames == len(frames)
+        assert set(seg.frame_labels.tolist()) <= set(range(m))
+        assert len(approx.train_log) == self.EPOCHS + 1 and np.all(np.isfinite(approx.train_log))
+        assert np.all(approx.weights >= 0.0) and approx.weights.sum() == pytest.approx(1.0)
+
+
 class TestTrivialSolution:
     """The NTK sidesteps the trivial solution of a widening Gaussian.
 
@@ -439,7 +493,7 @@ class TestTrivialSolution:
             curves[family] = []
             for i, v in enumerate(videos):
                 approx = train_approximation(v, TrainConfig(m=5, epochs=10, seed=i,
-                                                            kernel=KernelSpec(family=family)))
+                                                            kernel=family))
                 p = approx.prototypes
                 curve = []
                 for c in self.SCALES:

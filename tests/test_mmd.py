@@ -368,7 +368,7 @@ class TestSimplexWeights:
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
         frames = frames @ make_rng(5).normal(size=(2352, 60)) / 50
         approx = train_approximation(VideoFeatures(frames=frames),
-                                     TrainConfig(m=5, epochs=2, kernel=KernelSpec(family="ntk")))
+                                     TrainConfig(m=5, epochs=2, kernel="ntk"))
         kyy, b = mmd2_terms(frames, approx.prototypes, approx.spec, row_stats(frames, approx.spec))
         assert np.max(np.diag(kyy)) > 1e12
         best, _ = simplex_qp_by_supports(kyy, b)

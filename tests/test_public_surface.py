@@ -7,7 +7,7 @@ an import that nothing reads. The kernel's closed form is written once,
 inside its elementwise chain, and the chain has two callers, the block
 former and the scales, so no second copy of the kernel, and no second
 way into it, can grow beside the chain. One ``np.loadtxt`` call reads
-every feature file.
+every feature file. No internal invariant fails as a bare assertion.
 """
 
 import ast
@@ -91,3 +91,14 @@ def test_the_kernel_chain_has_two_callers():
         reaches |= grown
     for key in (("kernels", "kernel_matrix"), ("mmd", "mmd2_terms"), ("mmd", "mmd2_grad_y")):
         assert calls[key] & reaches == {"_stacked_pass"}, key
+
+
+def test_no_invariant_fails_as_a_bare_assertion():
+    # An internal check that fails must raise a named package error, which
+    # the command line maps to an exit code; an ``AssertionError`` escapes
+    # its handlers, and ``python -O`` strips ``assert`` statements.
+    hits = [(module, node.lineno) for module, tree in _trees().items() for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+            or isinstance(node, ast.Raise) and "AssertionError" in {
+                getattr(node.exc, "id", None), getattr(getattr(node.exc, "func", None), "id", None)}]
+    assert hits == []
