@@ -27,7 +27,7 @@ from .kernels import FAMILIES, KernelSpec, resolve_spec
 from .learner import (PROFILES, Approximation, Profile, Segmentation, TrainConfig, assign,
                       preprocess_video, segment_video)
 from .numerics import make_rng
-from .preprocess import VideoFeatures, load_features, load_labels
+from .preprocess import VideoFeatures, load_features, load_labels, save_json
 from .synthgen import SynthConfig, write_dataset
 
 CSV_COLUMNS = ["video", "mof", "iou", "f1", "boundary_accuracy"]
@@ -54,46 +54,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--features", required=True)
     p_seg.add_argument("--labels")
     p_seg.add_argument("--m", type=int, required=True, help="number of prototypes / spans")
-    p_seg.add_argument("--kernel", choices=FAMILIES, default=TrainConfig.kernel)
     p_seg.add_argument("--epochs", type=int, default=None)
     p_seg.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p_seg.add_argument("--wd", type=float, default=TrainConfig.weight_decay)
     p_seg.add_argument("--smooth", type=float, default=None, help="override the profile smoothing factor")
-    p_seg.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
     p_seg.add_argument("--normalize", action="store_true", help="L2-normalize frames after smoothing")
-    p_seg.add_argument("--seed", type=int, default=0)
     p_seg.add_argument("--baseline", choices=["uniform", "kmeans", "kernel-kmeans"])
-    p_seg.add_argument("--exclude-bg", type=int, default=None)
-    p_seg.add_argument("--boundary-tol", type=int, default=3)
-    p_seg.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored segmentation, or aggregate reports")
     p_eval.add_argument("--pred", help="segmentation JSON produced by `segment`")
     p_eval.add_argument("--labels", help="ground-truth label file")
-    p_eval.add_argument("--exclude-bg", type=int, default=None)
-    p_eval.add_argument("--boundary-tol", type=int, default=3)
     p_eval.add_argument("--aggregate", nargs="+", metavar="REPORT",
                         help="aggregate report JSONs into a CSV instead of evaluating")
-    p_eval.add_argument("--out", required=True)
 
     p_rm = sub.add_parser("randm", help="segment a directory with per-video randomized M")
     p_rm.add_argument("--features-dir", required=True)
     p_rm.add_argument("--mbar", type=int, required=True, help="average number of actions")
     p_rm.add_argument("--mode", choices=sorted(NOISY_M_PRESETS), default="synthetic")
     p_rm.add_argument("--method", choices=["ours", "uniform"], default="ours")
-    p_rm.add_argument("--kernel", choices=FAMILIES, default=TrainConfig.kernel)
-    p_rm.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
-    p_rm.add_argument("--boundary-tol", type=int, default=3)
-    p_rm.add_argument("--seed", type=int, default=0)
     p_rm.add_argument("--jobs", type=int, default=1)
-    p_rm.add_argument("--out", required=True)
+
+    # Each flag that several subcommands share is defined once.
+    for p in (p_seg, p_rm):
+        p.add_argument("--kernel", choices=FAMILIES, default=TrainConfig.kernel)
+        p.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
+        p.add_argument("--seed", type=int, default=0)
+    for p in (p_seg, p_eval):
+        p.add_argument("--exclude-bg", type=int, default=None)
+    for p in (p_seg, p_eval, p_rm):
+        p.add_argument("--boundary-tol", type=int, default=3)
+        p.add_argument("--out", required=True)
     return parser
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -155,7 +146,7 @@ def cmd_segment(args) -> int:
         report = evaluate(seg, video.labels, exclude_gt=args.exclude_bg,
                           boundary_tol=args.boundary_tol)
         payload["report"] = report.to_dict()
-    _write_json(args.out, payload)
+    save_json(args.out, payload)
     return 0
 
 
@@ -191,7 +182,7 @@ def cmd_eval(args) -> int:
         raise ParseError(f"{args.pred}: 'frame_labels' must be a JSON array of int64 integers")
     report = evaluate(np.asarray(labels, dtype=np.int64), load_labels(args.labels),
                       exclude_gt=args.exclude_bg, boundary_tol=args.boundary_tol)
-    _write_json(args.out, {"video": pred.get("name", Path(args.pred).stem), **report.to_dict()})
+    save_json(args.out, {"video": pred.get("name", Path(args.pred).stem), **report.to_dict()})
     return 0
 
 

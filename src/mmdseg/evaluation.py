@@ -86,27 +86,22 @@ def _clean_pair(pred, gt, exclude_gt):
     return pred, gt
 
 
-def _contingency(pred, gt):
-    pred_classes = np.unique(pred)
-    gt_classes = np.unique(gt)
-    p_idx = np.searchsorted(pred_classes, pred)
-    g_idx = np.searchsorted(gt_classes, gt)
-    table = np.zeros((pred_classes.size, gt_classes.size), dtype=np.int64)
-    np.add.at(table, (p_idx, g_idx), 1)
-    return pred_classes, gt_classes, table
-
-
 def _scores(pred, gt):
     """Label map, MoF, IoU, F1 and the per-class scores of a cleaned pair,
     all from its one (predicted x ground-truth) overlap table.
 
-    The table, padded to square, is matched to maximize the total overlap.
-    For a matched class the intersection is the table cell and the union is
-    its row sum + column sum - cell. MoF is the sum of the matched
+    ``np.unique(..., return_inverse=True)`` gives each side's sorted classes
+    and every frame's index among them, and the table counts the index
+    pairs. The table, padded to square, is matched to maximize the total
+    overlap. For a matched class the intersection is the table cell and the
+    union is its row sum + column sum - cell. MoF is the sum of the matched
     intersections over the evaluated frames, so a frame of an unmatched
     predicted class is never correct, whatever its ground-truth label.
     """
-    pred_classes, gt_classes, table = _contingency(pred, gt)
+    pred_classes, p_idx = np.unique(pred, return_inverse=True)
+    gt_classes, g_idx = np.unique(gt, return_inverse=True)
+    table = np.zeros((pred_classes.size, gt_classes.size), dtype=np.int64)
+    np.add.at(table, (p_idx, g_idx), 1)
     k = max(table.shape)
     padded = np.zeros((k, k), dtype=np.float64)
     padded[: table.shape[0], : table.shape[1]] = table
@@ -146,8 +141,13 @@ def boundary_accuracy(pred, gt, tolerance: int = 3) -> float:
     within +-tolerance frames; each predicted transition may be used once.
 
     Ground-truth boundaries are visited in increasing order and greedily take
-    the nearest unused predicted boundary (ties to the left). 1.0 when the
-    ground truth has no transitions.
+    the nearest unused predicted boundary: ``argmin`` over the gaps to the
+    predicted boundaries, in ascending order, so ties go left. A used
+    boundary's gap is set to inf, and so is a sentinel that keeps ``argmin``
+    defined when the prediction has no boundary. The tolerance is capped at
+    the frame count, which no gap exceeds, so a tolerance of any size
+    compares with the float gaps. 1.0 when the ground truth has no
+    transitions.
     """
     pred = np.asarray(pred).ravel()
     gt = np.asarray(gt).ravel()
@@ -158,15 +158,14 @@ def boundary_accuracy(pred, gt, tolerance: int = 3) -> float:
     gt_bounds = _boundaries(gt)
     if gt_bounds.size == 0:
         return 1.0
-    pred_bounds = list(_boundaries(pred))
+    tolerance = min(tolerance, gt.size)
+    pred_bounds = np.append(_boundaries(pred), np.inf)
     detected = 0
     for g in gt_bounds:
-        best = None
-        for p in pred_bounds:
-            if abs(int(p) - int(g)) <= tolerance and (best is None or abs(int(p) - int(g)) < abs(best - int(g))):
-                best = int(p)
-        if best is not None:
-            pred_bounds.remove(best)
+        gaps = np.abs(pred_bounds - g)
+        k = int(np.argmin(gaps))
+        if gaps[k] <= tolerance:
+            pred_bounds[k] = np.inf
             detected += 1
     return detected / gt_bounds.size
 

@@ -22,6 +22,7 @@ is walked a second time, to name its first bad line.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -39,6 +40,7 @@ __all__ = [
     "load_labels",
     "save_features",
     "save_labels",
+    "save_json",
     "l2_normalize_rows",
     "temporal_smooth",
 ]
@@ -191,6 +193,14 @@ def save_labels(path, labels) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for lab in labels:
             fh.write(f"{int(lab)}\n")
+
+
+def save_json(path, obj) -> None:
+    """Write ``obj`` as JSON with indent 2, sorted keys and a final newline:
+    the one format of every JSON file the package writes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def l2_normalize_rows(v: VideoFeatures) -> VideoFeatures:

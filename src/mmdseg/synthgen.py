@@ -10,7 +10,6 @@ flattened to 2352-D rows and L2-normalized; ground-truth labels ride along.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .kernels import sphere_project
 from .numerics import make_rng
-from .preprocess import VideoFeatures, save_features, save_labels
+from .preprocess import VideoFeatures, save_features, save_json, save_labels
 
 __all__ = [
     "SynthConfig",
@@ -96,6 +95,8 @@ def _build_glyphs(half: int = GLYPH_HALF) -> np.ndarray:
 
 
 GLYPHS = _build_glyphs()
+# Each class's glyph in its color: the (21, 21, 3) patch a frame shows.
+PATCHES = GLYPHS[:, :, :, None] * COLORS[:, None, None, :]
 
 
 def trajectory_points(class_id: int, length: int) -> np.ndarray:
@@ -108,13 +109,12 @@ def trajectory_points(class_id: int, length: int) -> np.ndarray:
 
 
 def render_glyph(class_id: int, position) -> np.ndarray:
-    """A blank frame with the class glyph (in its class color) centered at ``position``."""
+    """A blank frame with the class's patch (its glyph in its color) centered
+    at ``position``: the (row, col) centre is rounded and clamped so the
+    whole patch stays on the canvas, and the patch is copied in."""
     frame = np.zeros((CANVAS, CANVAS, 3))
-    r = int(np.clip(round(float(position[0])), _LO, _HI))
-    c = int(np.clip(round(float(position[1])), _LO, _HI))
-    mask = GLYPHS[class_id]
-    patch = frame[r - GLYPH_HALF: r + GLYPH_HALF + 1, c - GLYPH_HALF: c + GLYPH_HALF + 1]
-    np.maximum(patch, mask[:, :, None] * COLORS[class_id][None, None, :], out=patch)
+    r, c = (min(max(round(float(p)), _LO), _HI) for p in position)
+    frame[r - GLYPH_HALF: r + GLYPH_HALF + 1, c - GLYPH_HALF: c + GLYPH_HALF + 1] = PATCHES[class_id]
     return frame
 
 
@@ -152,23 +152,20 @@ def _action_order(rng: np.random.Generator, cfg: SynthConfig) -> list[int]:
 
 
 def generate_video(rng: np.random.Generator, cfg: SynthConfig, name: str = "") -> VideoFeatures:
+    """One video: a class order, then one segment length per class, drawn
+    from ``rng``; each segment's frames render its glyph at its trajectory
+    points, and its label plan is ``np.repeat(classes, lengths)``. Pixel
+    noise, if any, is drawn after the plan and clipped to [0, 1]; the frames
+    are then L2-normalized."""
     lo, hi = cfg.seg_len_range
     classes = _action_order(rng, cfg)
     lengths = [int(rng.integers(lo, hi + 1)) for _ in classes]
-    frames = []
-    labels = []
-    for class_id, length in zip(classes, lengths):
-        for pos in trajectory_points(class_id, length):
-            frames.append(render_glyph(class_id, pos).ravel())
-            labels.append(class_id)
-    flat = np.asarray(frames)
+    flat = np.asarray([render_glyph(class_id, pos).ravel() for class_id, length in zip(classes, lengths)
+                       for pos in trajectory_points(class_id, length)])
     if cfg.noise_std > 0:
         flat = np.clip(flat + rng.normal(0.0, cfg.noise_std, size=flat.shape), 0.0, 1.0)
-    return VideoFeatures(
-        frames=sphere_project(flat),
-        labels=np.asarray(labels, dtype=np.int64),
-        name=name,
-    )
+    labels = np.repeat(np.asarray(classes, dtype=np.int64), lengths)
+    return VideoFeatures(frames=sphere_project(flat), labels=labels, name=name)
 
 
 def generate_moving5(cfg: SynthConfig, split: str = "train") -> list[VideoFeatures]:
@@ -181,7 +178,8 @@ def generate_moving5(cfg: SynthConfig, split: str = "train") -> list[VideoFeatur
 
 
 def write_dataset(out_dir, cfg: SynthConfig) -> dict:
-    """Write features/labels text files for all splits plus a manifest.
+    """Write features/labels text files for all splits plus a manifest,
+    ``manifest.json``, written by ``save_json``; returns the manifest.
 
     Each split's videos are drawn before its directory is made, so a
     configuration that cannot generate (a negative seed) leaves nothing.
@@ -206,7 +204,5 @@ def write_dataset(out_dir, cfg: SynthConfig) -> dict:
                 "n_frames": video.n_frames,
             })
         manifest["splits"][split] = entries
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(out_dir / "manifest.json", manifest)
     return manifest

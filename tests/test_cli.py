@@ -52,6 +52,32 @@ def checksum_tree(root):
     return digest.hexdigest()
 
 
+# sha256 over relative paths and bytes of the tree ``gen --seed 3 --videos 1``
+# writes under ``data/``, and of the report ``eval`` writes for its first test
+# video segmented with ``--m 5 --seed 11`` (acceptance criterion 8's run).
+GEN_TREE_DIGEST = "42de648f0aaa9d4514e377467179018404b34429e6f56dfa4e2ac917570f1a38"
+EVAL_REPORT_DIGEST = "feda1237fdd863a866644e2f5ba0633cca9181cefef3d72b87adcd5beb9964a1"
+
+
+def test_gen_tree_and_eval_report_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen", "--out", str(data), "--seed", "3", "--videos", "1"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(data.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(tmp_path).as_posix().encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == GEN_TREE_DIGEST
+    feat = sorted((data / "test").glob("*_features.txt"))[0]
+    labs = sorted((data / "test").glob("*_labels.txt"))[0]
+    seg, report = tmp_path / "seg.json", tmp_path / "report.json"
+    # seg.json is not pinned: its train_log floats vary with the BLAS thread count.
+    assert main(["segment", "--features", str(feat), "--labels", str(labs), "--m", "5",
+                 "--profile", "synthetic", "--seed", "11", "--out", str(seg)]) == 0
+    assert main(["eval", "--pred", str(seg), "--labels", str(labs), "--out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == EVAL_REPORT_DIGEST
+
+
 class TestGen:
     def test_default_videos_per_split_is_50(self):
         from mmdseg.cli import build_parser
@@ -172,6 +198,13 @@ class TestSegment:
                      "--out", str(out)]) == 3
         assert "[ValueError]: --boundary-tol must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_boundary_tol_beyond_int64_exit_0(self, tmp_path):
+        feat, labs = write_blob_video(tmp_path)
+        out = tmp_path / "o.json"
+        assert main(["segment", "--features", str(feat), "--labels", str(labs), "--m", "2",
+                     "--boundary-tol", str(10**30), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["boundary_accuracy"] == 1.0
 
     @pytest.mark.parametrize("token", ["99999999999999999999", "-99999999999999999999"])
     def test_label_outside_int64_exit_2(self, tmp_path, capsys, token):

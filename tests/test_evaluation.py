@@ -131,6 +131,16 @@ class TestBoundaryAccuracy:
             got = boundary_accuracy(pred, gt, tolerance=3)
             assert got == pytest.approx(boundary_accuracy_quadratic(pred, gt, 3), abs=1e-15)
 
+    @pytest.mark.parametrize("tolerance", [10**30, 10**400, float("inf")], ids=["1e30", "1e400", "inf"])
+    def test_tolerance_beyond_int64_matches_quadratic_oracle(self, tolerance):
+        # A used boundary must stay out of reach of a huge tolerance, and the
+        # tolerance must not be cast to a fixed-width integer or a float.
+        rng = make_rng(106)
+        for _ in range(10):
+            pred = rng.integers(0, 3, size=40)
+            gt = rng.integers(0, 3, size=40)
+            assert boundary_accuracy(pred, gt, tolerance) == boundary_accuracy_quadratic(pred, gt, tolerance)
+
     @pytest.mark.parametrize("n_pred, tolerance, error, message", [
         (4, 1, ConsistencyError, "pred has 4 frames but gt has 3"),
         (3, -1, ValueError, "tolerance must be nonnegative"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,19 @@ from mmdseg.learner import Segmentation
 from mmdseg.synthgen import CANVAS, N_CLASSES, trajectory_points, write_dataset
 
 GOLDEN_PIXEL_COUNTS = [148, 252, 152, 169, 272]
+
+# sha256 of every video's frames, then its int64 labels, in split order: the
+# pinned test split, and the three long videos of the ``long-smooth`` set.
+PINNED_SPLIT_DIGEST = "0341a7ee2458514121a81ee95b0c513f267b49f3e30cb41aa6c5875d1e620e81"
+LONG_SMOOTH_DIGEST = "cc22e6de9e66b333d2e7d6fefd2f474239e0e58423a4c43f562db93622dddd02"
+
+
+def videos_digest(videos) -> str:
+    digest = hashlib.sha256()
+    for v in videos:
+        digest.update(v.frames.tobytes())
+        digest.update(np.asarray(v.labels, dtype=np.int64).tobytes())
+    return digest.hexdigest()
 
 
 class TestRenderGlyph:
@@ -112,6 +126,16 @@ class TestGenerateMoving5:
             if sum(1 for _, _, lab in Segmentation.from_labels(v.labels).segments if lab == 1) >= 2
         )
         assert with_repeats >= 15  # at least 30% of the pinned split
+
+
+class TestPinnedBytes:
+    def test_pinned_split(self):
+        videos = generate_moving5(SynthConfig(n_videos=50, seed=0), "test")
+        assert videos_digest(videos) == PINNED_SPLIT_DIGEST
+
+    def test_long_smooth_set(self):
+        cfg = SynthConfig(n_videos=3, seg_len_range=(470, 490), max_repeats=1, seed=0)
+        assert videos_digest(generate_moving5(cfg, "test")) == LONG_SMOOTH_DIGEST
 
 
 class TestWriteDataset:
