@@ -2,14 +2,20 @@
 
 Five action classes, each a fixed (glyph, color, trajectory) triple on a
 28x28 RGB canvas. Per video the class order is shuffled, one designated
-class may repeat up to three times, and every segment length is drawn from
-a small range, so the glyph's speed is inversely proportional to its
-segment length (it always completes its full trajectory). Frames are
-flattened to 2352-D rows and L2-normalized; ground-truth labels ride along.
+class may repeat up to ``max_repeats`` times (three by default, at most
+five), and every segment length is drawn from a small range, so the
+glyph's speed is inversely proportional to its segment length (it always
+completes its full trajectory). Frames are flattened to 2352-D rows and
+L2-normalized; ground-truth labels ride along.
+
+A video is built in one (N, 28, 28, 3) frame matrix: each run of frames
+whose glyph sits at the same centre gets one ``render_glyph`` canvas, and
+the noise and the normalized copy are the only other frame-sized arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,12 +114,18 @@ def trajectory_points(class_id: int, length: int) -> np.ndarray:
     return np.stack([r0 + (r1 - r0) * t, c0 + (c1 - c0) * t], axis=1)
 
 
+def _centre(position) -> tuple[int, int]:
+    """The one placement rule: the (row, col) ``position`` rounded by
+    Python's ``round`` (a NaN raises) and clamped so the whole patch stays
+    on the canvas."""
+    return tuple(min(max(round(float(p)), _LO), _HI) for p in position)
+
+
 def render_glyph(class_id: int, position) -> np.ndarray:
-    """A blank frame with the class's patch (its glyph in its color) centered
-    at ``position``: the (row, col) centre is rounded and clamped so the
-    whole patch stays on the canvas, and the patch is copied in."""
+    """A blank frame with the class's patch (its glyph in its color) copied
+    in at ``_centre(position)``."""
     frame = np.zeros((CANVAS, CANVAS, 3))
-    r, c = (min(max(round(float(p)), _LO), _HI) for p in position)
+    r, c = _centre(position)
     frame[r - GLYPH_HALF: r + GLYPH_HALF + 1, c - GLYPH_HALF: c + GLYPH_HALF + 1] = PATCHES[class_id]
     return frame
 
@@ -133,8 +145,9 @@ class SynthConfig:
             raise ValueError(f"n_videos must be at least 1, got {self.n_videos}")
         if not (1 <= self.seg_len_range[0] <= self.seg_len_range[1]):
             raise ValueError("seg_len_range must satisfy 1 <= lo <= hi")
-        if not (1 <= self.max_repeats):
-            raise ValueError("max_repeats must be at least 1")
+        # R repeats need R - 1 separators among the N_CLASSES - 1 other classes.
+        if not (1 <= self.max_repeats <= N_CLASSES):
+            raise ValueError(f"max_repeats must be between 1 and {N_CLASSES}, got {self.max_repeats}")
         if not (0.0 <= self.noise_std < math.inf):  # also false for NaN
             raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
 
@@ -153,17 +166,28 @@ def _action_order(rng: np.random.Generator, cfg: SynthConfig) -> list[int]:
 
 def generate_video(rng: np.random.Generator, cfg: SynthConfig, name: str = "") -> VideoFeatures:
     """One video: a class order, then one segment length per class, drawn
-    from ``rng``; each segment's frames render its glyph at its trajectory
-    points, and its label plan is ``np.repeat(classes, lengths)``. Pixel
-    noise, if any, is drawn after the plan and clipped to [0, 1]; the frames
-    are then L2-normalized."""
+    from ``rng``; its label plan is ``np.repeat(classes, lengths)``.
+
+    The frames are rows of one (N, CANVAS, CANVAS, 3) matrix: each segment's
+    trajectory points are placed by ``_centre``, and each run of points at
+    the same centre gets one ``render_glyph`` canvas copied into its rows.
+    Pixel noise, if any, is drawn after the plan, added in place and
+    clipped to [0, 1] in place; ``sphere_project`` then L2-normalizes the
+    rows into the one other frame-sized array."""
     lo, hi = cfg.seg_len_range
     classes = _action_order(rng, cfg)
     lengths = [int(rng.integers(lo, hi + 1)) for _ in classes]
-    flat = np.asarray([render_glyph(class_id, pos).ravel() for class_id, length in zip(classes, lengths)
-                       for pos in trajectory_points(class_id, length)])
+    frames = np.empty((sum(lengths), CANVAS, CANVAS, 3))
+    row = 0
+    for class_id, length in zip(classes, lengths):
+        for centre, run in itertools.groupby(map(_centre, trajectory_points(class_id, length).tolist())):
+            n = len(list(run))
+            frames[row: row + n] = render_glyph(class_id, centre)
+            row += n
+    flat = frames.reshape(row, -1)
     if cfg.noise_std > 0:
-        flat = np.clip(flat + rng.normal(0.0, cfg.noise_std, size=flat.shape), 0.0, 1.0)
+        flat += rng.normal(0.0, cfg.noise_std, size=flat.shape)
+        np.clip(flat, 0.0, 1.0, out=flat)
     labels = np.repeat(np.asarray(classes, dtype=np.int64), lengths)
     return VideoFeatures(frames=sphere_project(flat), labels=labels, name=name)
 

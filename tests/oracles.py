@@ -13,6 +13,8 @@ import numpy as np
 
 from mmdseg.errors import NumericError, ParseError
 from mmdseg.kernels import CLAMP_EPS, PRODUCT_FAMILIES, SPHERE_FAMILIES, kernel_matrix
+from mmdseg.preprocess import VideoFeatures
+from mmdseg.synthgen import _HI, _LO, CANVAS, GLYPH_HALF, PATCHES, _action_order, trajectory_points
 
 
 def finite_diff_grad(f, x, h=1e-4):
@@ -321,3 +323,31 @@ def read_features_per_line(path):
     if not rows:
         raise ParseError(f"{path}: no feature rows found")
     return np.stack(rows)
+
+
+def _canvas_per_frame(class_id, position):
+    frame = np.zeros((CANVAS, CANVAS, 3))
+    r, c = (min(max(round(float(p)), _LO), _HI) for p in position)
+    frame[r - GLYPH_HALF: r + GLYPH_HALF + 1, c - GLYPH_HALF: c + GLYPH_HALF + 1] = PATCHES[class_id]
+    return frame
+
+
+def generate_video_per_frame(rng, cfg, name=""):
+    """A synthetic video built one frame at a time: each trajectory point
+    gets its own blank canvas with the class's patch at its rounded, clamped
+    centre, the list is stacked by ``np.asarray``, noise is added and
+    clipped out of place, and every row is divided by
+    ``sqrt(sum(x * x))`` of the whole square (``sphere_project``'s rule for
+    rows of a normal squared norm, which every synthetic row has). The
+    reference whose frames and labels ``generate_video`` must equal, bit
+    for bit."""
+    lo, hi = cfg.seg_len_range
+    classes = _action_order(rng, cfg)
+    lengths = [int(rng.integers(lo, hi + 1)) for _ in classes]
+    flat = np.asarray([_canvas_per_frame(class_id, pos).ravel() for class_id, length in zip(classes, lengths)
+                       for pos in trajectory_points(class_id, length)])
+    if cfg.noise_std > 0:
+        flat = np.clip(flat + rng.normal(0.0, cfg.noise_std, size=flat.shape), 0.0, 1.0)
+    labels = np.repeat(np.asarray(classes, dtype=np.int64), lengths)
+    frames = flat / np.sqrt(np.sum(flat * flat, axis=1))[:, None]
+    return VideoFeatures(frames=frames, labels=labels, name=name)

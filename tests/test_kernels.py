@@ -447,8 +447,13 @@ class TestSphereProject:
             out = sphere_project(np.array([row]))
         assert np.allclose(out, [expected], rtol=1e-15, atol=0.0)
 
-    def test_rows_with_a_normal_squared_norm_keep_their_bits(self):
-        x = make_rng(30).normal(size=(40, 7)) * np.logspace(-150, 150, 40)[:, None]
+    # The squares are summed in row blocks; each row's sum does not depend
+    # on how many rows share its block, or on the memory order.
+    @pytest.mark.parametrize("shape", [(40, 7), (87, 2352), (2 * kernels.PROJECT_BLOCK + 1, 9)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_rows_with_a_normal_squared_norm_keep_their_bits(self, shape, order):
+        x = make_rng(30).normal(size=shape) * np.logspace(-150, 150, shape[0])[:, None]
+        x = np.asarray(x, order=order)
         assert np.array_equal(sphere_project(x), x / np.sqrt(np.sum(x * x, axis=1))[:, None])
 
     @pytest.mark.parametrize("row, unit", [

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmdseg import SynthConfig, generate_moving5, generate_video, make_rng, render_glyph
 from mmdseg.learner import Segmentation
-from mmdseg.synthgen import CANVAS, N_CLASSES, trajectory_points, write_dataset
+from mmdseg.synthgen import CANVAS, N_CLASSES, REPEAT_CLASS, trajectory_points, write_dataset
+
+from oracles import generate_video_per_frame
 
 GOLDEN_PIXEL_COUNTS = [148, 252, 152, 169, 272]
 
@@ -50,6 +53,11 @@ class TestRenderGlyph:
         f = render_glyph(1, (-40, 90))
         assert f.shape == (CANVAS, CANVAS, 3)
         assert np.count_nonzero(f) > 0
+
+    def test_nan_position_raises(self):
+        # Python's ``round`` places the glyph; a NaN centre has no place.
+        with pytest.raises(ValueError):
+            render_glyph(0, (float("nan"), 0.0))
 
 
 class TestTrajectories:
@@ -103,6 +111,52 @@ class TestGenerateVideo:
             assert len(seg.segments) == 4 + n_rep
             for (_, _, a), (_, _, b) in zip(seg.segments, seg.segments[1:]):
                 assert a != b
+
+    # (470, 490) makes about 2400 frames; lengths 5 to 30 put trajectory
+    # points on the rounding ties x.5, and every horizontal or vertical path
+    # holds the tie _MID = 13.5 throughout.
+    @pytest.mark.parametrize("seg_len_range", [(1, 1), (5, 30), (470, 490)])
+    @pytest.mark.parametrize("max_repeats", [1, 3])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    def test_matches_the_per_frame_oracle(self, seg_len_range, max_repeats, noise_std):
+        cfg = SynthConfig(seg_len_range=seg_len_range, max_repeats=max_repeats, noise_std=noise_std)
+        for seed in range(5):
+            got = generate_video(make_rng(seed, 4), cfg)
+            want = generate_video_per_frame(make_rng(seed, 4), cfg)
+            assert got.frames.tobytes() == want.frames.tobytes(), seed
+            assert got.labels.dtype == want.labels.dtype == np.int64
+            assert np.array_equal(got.labels, want.labels), seed
+
+    @pytest.mark.parametrize("noise_std", [0.0, 0.1])
+    def test_peak_memory_is_two_frame_matrices(self, noise_std):
+        # The frames are built in one matrix, the noise is added in place,
+        # and the normalized copy is the only other frame-sized array.
+        cfg = SynthConfig(seg_len_range=(470, 490), max_repeats=1, noise_std=noise_std)
+        rng = make_rng(0, 2, 0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            v = generate_video(rng, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert v.n_frames > 2300
+        assert peak <= 2 * v.frames.nbytes + 2**20, peak / v.frames.nbytes
+
+    def test_max_repeats_beyond_the_classes_raises(self):
+        # Six copies of the repeat class need five separators; four exist.
+        with pytest.raises(ValueError, match=f"between 1 and {N_CLASSES}"):
+            SynthConfig(max_repeats=N_CLASSES + 1)
+
+    def test_max_repeats_at_the_limit_generates(self):
+        repeats = []
+        for i in range(20):
+            v = generate_video(make_rng(9, 2, i), SynthConfig(max_repeats=N_CLASSES))
+            seg = Segmentation.from_labels(v.labels)
+            labels = [lab for _, _, lab in seg.segments]
+            assert all(a != b for a, b in zip(labels, labels[1:]))
+            repeats.append(labels.count(REPEAT_CLASS))
+        assert max(repeats) == N_CLASSES, repeats
 
 
 class TestGenerateMoving5:
