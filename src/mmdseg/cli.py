@@ -33,11 +33,9 @@ from .synthgen import SynthConfig, write_dataset
 CSV_COLUMNS = ["video", "mof", "iou", "f1", "boundary_accuracy"]
 RANDM_COLUMNS = ["video", "m_used", "mof", "iou", "f1", "boundary_accuracy"]
 
-# Training presets when the requested segment count is deliberately noisy.
-NOISY_M_PRESETS = {
-    "synthetic": {"epochs": 20, "weight_decay": 1e-4},
-    "real": {"epochs": 200, "weight_decay": 1e-4},
-}
+# Training settings when the requested segment count is deliberately noisy.
+NOISY_M_EPOCHS = {"synthetic": 20, "real": 200}
+NOISY_M_WEIGHT_DECAY = 1e-4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,16 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a synthetic moving-glyph dataset")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--videos", type=int, default=50, help="videos per split")
-    p_gen.add_argument("--noise", type=float, default=0.0, help="pixel noise std")
+    p_gen.add_argument("--videos", type=int, default=SynthConfig.n_videos, help="videos per split")
+    p_gen.add_argument("--noise", type=float, default=SynthConfig.noise_std, help="pixel noise std")
 
     p_seg = sub.add_parser("segment", help="segment one video")
     p_seg.add_argument("--features", required=True)
     p_seg.add_argument("--labels")
     p_seg.add_argument("--m", type=int, required=True, help="number of prototypes / spans")
     p_seg.add_argument("--epochs", type=int, default=None)
-    p_seg.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    p_seg.add_argument("--wd", type=float, default=TrainConfig.weight_decay)
     p_seg.add_argument("--smooth", type=float, default=None, help="override the profile smoothing factor")
     p_seg.add_argument("--normalize", action="store_true", help="L2-normalize frames after smoothing")
     p_seg.add_argument("--baseline", choices=["uniform", "kmeans", "kernel-kmeans"])
@@ -70,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm = sub.add_parser("randm", help="segment a directory with per-video randomized M")
     p_rm.add_argument("--features-dir", required=True)
     p_rm.add_argument("--mbar", type=int, required=True, help="average number of actions")
-    p_rm.add_argument("--mode", choices=sorted(NOISY_M_PRESETS), default="synthetic")
+    p_rm.add_argument("--mode", choices=sorted(NOISY_M_EPOCHS), default="synthetic")
     p_rm.add_argument("--method", choices=["ours", "uniform"], default="ours")
     p_rm.add_argument("--jobs", type=int, default=1)
 
@@ -114,7 +110,7 @@ def _segment_profile(args) -> Profile:
 
 
 def _default_epochs(profile_name: str) -> int:
-    return 10 if profile_name == "synthetic" else 100
+    return 10 if profile_name == "synthetic" else TrainConfig.epochs
 
 
 def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
@@ -138,8 +134,7 @@ def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
 def cmd_segment(args) -> int:
     video = load_features(args.features, labels_path=args.labels)
     epochs = args.epochs if args.epochs is not None else _default_epochs(args.profile)
-    cfg = TrainConfig(m=args.m, epochs=epochs, learning_rate=args.lr,
-                      weight_decay=args.wd, seed=args.seed, kernel=args.kernel)
+    cfg = TrainConfig(m=args.m, epochs=epochs, seed=args.seed, kernel=args.kernel)
     seg, train_log = _segment_by(args.baseline or "ours", video, cfg, _segment_profile(args))
     payload = {"name": video.name, **seg.to_dict(), "train_log": train_log}
     if video.labels is not None:
@@ -206,8 +201,7 @@ def _randm_task(payload):
     m_used = min(max(1, m_drawn), video.n_frames)
     if m_used != m_drawn:
         print(f"note: {Path(feat_path).stem}: drawn M {m_drawn} clamped to {m_used}", file=sys.stderr)
-    preset = NOISY_M_PRESETS[args.mode]
-    cfg = TrainConfig(m=m_used, epochs=preset["epochs"], weight_decay=preset["weight_decay"],
+    cfg = TrainConfig(m=m_used, epochs=NOISY_M_EPOCHS[args.mode], weight_decay=NOISY_M_WEIGHT_DECAY,
                       seed=train_seed, kernel=args.kernel)
     seg, _ = _segment_by(args.method, video, cfg, PROFILES[args.profile])
     report = evaluate(seg, video.labels, boundary_tol=args.boundary_tol)

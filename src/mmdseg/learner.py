@@ -43,10 +43,14 @@ __all__ = [
     "segment_video",
 ]
 
+# Fixed for every video: until frames share one unit, a per-run rate would only tune around the scale.
+LEARNING_RATE = 5e-2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run: plain gradient steps with
-    decoupled weight decay at ``learning_rate``.
+    decoupled weight decay, both at the fixed ``LEARNING_RATE``.
 
     ``kernel`` names the kernel family; an unknown name is a
     ``KernelSpecError``. The family is the only kernel choice a run makes:
@@ -56,7 +60,6 @@ class TrainConfig:
 
     m: int
     epochs: int = 100
-    learning_rate: float = 5e-2
     weight_decay: float = 1e-3
     seed: int = 0
     kernel: str = KernelSpec.family
@@ -67,9 +70,7 @@ class TrainConfig:
             raise ValueError("m must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if not (0.0 < self.learning_rate < math.inf):  # also false for NaN
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not (0.0 <= self.weight_decay < math.inf):
+        if not (0.0 <= self.weight_decay < math.inf):  # also false for NaN
             raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
 
 
@@ -157,7 +158,8 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     sample that ``resolve_spec`` returns (all frames, or a seeded draw of
     ``MAX_SCALE_FRAMES`` on a longer video) with its mean(Kxx).
     ``train_log[0]`` is the loss at initialization; one entry follows per
-    epoch. Fully deterministic given the seed.
+    epoch. Every step is at ``LEARNING_RATE``. Fully deterministic given the
+    seed.
 
     Each value is formed as rarely as it changes: the ``row_stats`` of the
     frames and of the sample once per video, by ``resolve_spec`` (each batch
@@ -210,7 +212,7 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
             batch = order[lo:lo + size]
             grad = mmd2_grad_y(frames[batch] if span is None else batch, y, spec, weights,
                                frame_rows[:, batch], span)
-            y = y - cfg.learning_rate * grad - cfg.learning_rate * cfg.weight_decay * y
+            y = y - LEARNING_RATE * grad - LEARNING_RATE * cfg.weight_decay * y
         if span is not None:
             y[:, n:] = y[:, :n] @ gram
         kyy, kxy_mean = mmd2_terms(sample_x, y, spec, sample_rows, span)

@@ -55,16 +55,14 @@ def sqdist_from_gram(gram: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray,
 
     The leading ``n_self`` rows of ``a`` are the rows of ``b``, in order and
     one or more times over (0 when they are not): each such block of
-    ``len(b)`` rows gets an exactly zero diagonal. With ``rows``, ``2 * gram``
-    is subtracted that many rows at a time, so that no temporary of the
-    product's size is formed; the values are the same.
+    ``len(b)`` rows gets an exactly zero diagonal. ``2 * gram`` is subtracted
+    ``rows`` rows at a time (all at once without it), so that with ``rows``
+    no temporary of the product's size is formed.
     """
-    if rows is None:
-        d = sq_a[:, None] + sq_b[None, :] - 2.0 * gram
-    else:
-        d = sq_a[:, None] + sq_b[None, :]
-        for lo in range(0, len(d), rows):
-            d[lo:lo + rows] -= 2.0 * gram[lo:lo + rows]
+    d = sq_a[:, None] + sq_b[None, :]
+    rows = rows or max(len(d), 1)
+    for lo in range(0, len(d), rows):
+        d[lo:lo + rows] -= 2.0 * gram[lo:lo + rows]
     np.maximum(d, 0.0, out=d)
     for lo in range(0, n_self, d.shape[1]):  # a strided store on each block's diagonal
         d[lo:min(lo + d.shape[1], n_self)].flat[::d.shape[1] + 1] = 0.0

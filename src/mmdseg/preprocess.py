@@ -234,21 +234,23 @@ def temporal_smooth(v: VideoFeatures, s: float, m: int) -> VideoFeatures:
     reflect-padded so boundary frames keep full weight. Row i of the
     Toeplitz ``band`` holds the K taps from column i, so output frames
     ``lo .. lo + b - 1`` are ``band[:b, :b + K - 1] @ padded[lo : lo + b + K - 1]``;
-    the short last block uses the band's top-left corner. Labels pass through.
+    the short last block uses the band's top-left corner. The output is float64
+    whatever the input's dtype. Labels pass through.
     """
+    frames = np.asarray(v.frames, dtype=np.float64)
     w = smoothing_window(s, v.n_frames, m)
     radius = min((w - 1) // 2, v.n_frames - 1)
     if radius < 1:
-        return replace(v, frames=v.frames.copy())
+        return replace(v, frames=frames.copy())
     sigma = w / 4.0
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
-    padded = np.pad(v.frames, ((radius, radius), (0, 0)), mode="reflect")
+    padded = np.pad(frames, ((radius, radius), (0, 0)), mode="reflect")
     rows = np.arange(SMOOTH_BLOCK)[:, None]
     band = np.zeros((SMOOTH_BLOCK, SMOOTH_BLOCK + 2 * radius))
     band[rows, rows + np.arange(kernel.size)] = kernel
-    smoothed = np.empty_like(v.frames)
+    smoothed = np.empty_like(frames)
     for lo in range(0, v.n_frames, SMOOTH_BLOCK):
         b = min(SMOOTH_BLOCK, v.n_frames - lo)
         np.matmul(band[:b, :b + 2 * radius], padded[lo:lo + b + 2 * radius], out=smoothed[lo:lo + b])

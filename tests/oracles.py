@@ -54,6 +54,16 @@ def naive_pairwise_sqdist(a, b):
     return out
 
 
+def sqdist_one_expression(gram, sq_a, sq_b, n_self):
+    """``sqdist_from_gram`` as one expression over the whole product, with a
+    zero diagonal on each of the leading ``n_self // len(sq_b)`` blocks set
+    entry by entry."""
+    d = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * gram, 0.0)
+    for i in range(n_self):
+        d[i, i % len(sq_b)] = 0.0
+    return d
+
+
 def partition_median(values):
     """Lower median of a 1-D array by ``np.partition``."""
     k = (values.size - 1) // 2

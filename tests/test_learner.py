@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -76,13 +76,14 @@ class TestInitUniformMeans:
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
-        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-        ("learning_rate", -1.0), ("learning_rate", 0.0),
         ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-3),
     ])
     def test_rejects_bad_step_settings(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(m=2, **{field: value})
+
+    def test_settable_fields(self):
+        assert [f.name for f in fields(TrainConfig)] == ["m", "epochs", "weight_decay", "seed", "kernel"]
 
     def test_accepts_zero_weight_decay(self):
         assert TrainConfig(m=2, weight_decay=0.0).weight_decay == 0.0
@@ -412,6 +413,14 @@ class TestSegmentVideo:
         assert np.array_equal(approx.prototypes, init_uniform_means(v.frames, 3))
         assert np.array_equal(seg.frame_labels,
                               np.argmax(kernel_matrix(v.frames, approx.prototypes, approx.spec), axis=1))
+
+    @pytest.mark.parametrize("profile", ["short", "long"])
+    def test_integer_frames_segment_as_their_float_copy(self, profile):
+        frames = np.rint(generate_video(make_rng(0), SynthConfig(seed=0)).frames * 1000).astype(np.int64)
+        cfg = TrainConfig(m=5, epochs=3)
+        _, seg = segment_video(VideoFeatures(frames=frames), cfg, PROFILES[profile])
+        _, expected = segment_video(VideoFeatures(frames=frames.astype(np.float64)), cfg, PROFILES[profile])
+        assert np.array_equal(seg.frame_labels, expected.frame_labels)
 
     def test_pipeline_order_smooth_then_normalize(self):
         rng = make_rng(89)

@@ -3,8 +3,9 @@ import pytest
 
 from mmdseg import make_rng, median, pairwise_sqdist
 from mmdseg.errors import NumericError, ShapeError
+from mmdseg.numerics import sqdist_from_gram
 
-from oracles import finite_diff_grad, naive_pairwise_sqdist
+from oracles import finite_diff_grad, naive_pairwise_sqdist, sqdist_one_expression
 
 
 class TestMakeRng:
@@ -39,6 +40,21 @@ class TestPairwiseSqdist:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pairwise_sqdist(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_no_rows(self):
+        assert pairwise_sqdist(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
+
+
+class TestSqdistFromGram:
+    @pytest.mark.parametrize("rows", [None, 1, 7, "all"])
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_equals_the_one_expression_bit_for_bit(self, rows, blocks):
+        rng = make_rng(14)
+        b = rng.normal(size=(9, 5))
+        a = np.vstack([b] * blocks + [rng.normal(size=(11, 5))])
+        sq_a, sq_b = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+        got = sqdist_from_gram(a @ b.T, sq_a, sq_b, blocks * len(b), len(a) if rows == "all" else rows)
+        assert np.array_equal(got, sqdist_one_expression(a @ b.T, sq_a, sq_b, blocks * len(b)))
 
 
 class TestMedian:
