@@ -31,7 +31,7 @@ from .preprocess import VideoFeatures, load_features, load_labels, save_json
 from .synthgen import SynthConfig, write_dataset
 
 CSV_COLUMNS = ["video", "mof", "iou", "f1", "boundary_accuracy"]
-RANDM_COLUMNS = ["video", "m_used", "mof", "iou", "f1", "boundary_accuracy"]
+RANDM_COLUMNS = ["video", "m_used", *CSV_COLUMNS[1:]]
 
 # Training settings when the requested segment count is deliberately noisy.
 NOISY_M_EPOCHS = {"synthetic": 20, "real": 200}
@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_seg.add_argument("--epochs", type=int, default=None)
     p_seg.add_argument("--smooth", type=float, default=None, help="override the profile smoothing factor")
     p_seg.add_argument("--normalize", action="store_true", help="L2-normalize frames after smoothing")
-    p_seg.add_argument("--baseline", choices=["uniform", "kmeans", "kernel-kmeans"])
 
     p_eval = sub.add_parser("eval", help="evaluate a stored segmentation, or aggregate reports")
     p_eval.add_argument("--pred", help="segmentation JSON produced by `segment`")
@@ -67,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rm.add_argument("--features-dir", required=True)
     p_rm.add_argument("--mbar", type=int, required=True, help="average number of actions")
     p_rm.add_argument("--mode", choices=sorted(NOISY_M_EPOCHS), default="synthetic")
-    p_rm.add_argument("--method", choices=["ours", "uniform"], default="ours")
     p_rm.add_argument("--jobs", type=int, default=1)
 
     # Each flag that several subcommands share is defined once.
     for p in (p_seg, p_rm):
+        p.add_argument("--method", choices=["ours", "uniform", "kmeans", "kernel-kmeans"], default="ours")
         p.add_argument("--kernel", choices=FAMILIES, default=TrainConfig.kernel)
         p.add_argument("--profile", choices=sorted(PROFILES), default="synthetic")
         p.add_argument("--seed", type=int, default=0)
@@ -115,8 +114,10 @@ def _default_epochs(profile_name: str) -> int:
 
 def _segment_by(method: str, video: VideoFeatures, cfg: TrainConfig,
                 profile: Profile) -> tuple[Segmentation, list[float]]:
-    """Segment one video with ``ours`` (trained prototypes) or a baseline;
-    returns ``(Segmentation, train_log)``, the log empty for baselines."""
+    """Segment one video by ``method``, the ``--method`` of both ``segment``
+    and ``randm``: ``ours`` (trained prototypes) or the ``uniform``,
+    ``kmeans`` or ``kernel-kmeans`` baseline. Returns ``(Segmentation,
+    train_log)``, the log empty for baselines."""
     if method == "ours":
         approx, seg = segment_video(video, cfg, profile)
         return seg, approx.train_log
@@ -135,7 +136,7 @@ def cmd_segment(args) -> int:
     video = load_features(args.features, labels_path=args.labels)
     epochs = args.epochs if args.epochs is not None else _default_epochs(args.profile)
     cfg = TrainConfig(m=args.m, epochs=epochs, seed=args.seed, kernel=args.kernel)
-    seg, train_log = _segment_by(args.baseline or "ours", video, cfg, _segment_profile(args))
+    seg, train_log = _segment_by(args.method, video, cfg, _segment_profile(args))
     payload = {"name": video.name, **seg.to_dict(), "train_log": train_log}
     if video.labels is not None:
         report = evaluate(seg, video.labels, exclude_gt=args.exclude_bg,
@@ -205,11 +206,8 @@ def _randm_task(payload):
                       seed=train_seed, kernel=args.kernel)
     seg, _ = _segment_by(args.method, video, cfg, PROFILES[args.profile])
     report = evaluate(seg, video.labels, boundary_tol=args.boundary_tol)
-    return {
-        "video": video.name, "m_used": m_used, "mof": report.mof, "iou": report.iou,
-        "f1": report.f1, "boundary_accuracy": report.boundary_accuracy,
-        "n_labels_used": int(np.unique(seg.frame_labels).size),
-    }
+    return {"video": video.name, "m_used": m_used, **{k: getattr(report, k) for k in CSV_COLUMNS[1:]},
+            "n_labels_used": int(np.unique(seg.frame_labels).size)}
 
 
 def cmd_randm(args) -> int:

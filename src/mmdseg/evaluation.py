@@ -74,8 +74,6 @@ def solve_assignment(cost: np.ndarray) -> list[int]:
 
 
 def _clean_pair(pred, gt, exclude_gt):
-    pred = np.asarray(pred, dtype=np.int64).ravel()
-    gt = np.asarray(gt, dtype=np.int64).ravel()
     if pred.size != gt.size or pred.size == 0:
         raise ConsistencyError(f"pred has {pred.size} frames but gt has {gt.size}")
     if exclude_gt is not None:

@@ -191,9 +191,15 @@ def sphere_project(x: np.ndarray) -> np.ndarray:
     other row is divided by ``sqrt(sum(x * x))`` as it stands. The squares
     are summed ``PROJECT_BLOCK`` rows at a time, which gives each row the
     sum the whole ``x * x`` would, so beside the result only one block of
-    squares is formed.
+    squares is formed. ``x`` is not written: a copy of it is projected in
+    place by ``_project``.
     """
-    x = _as_2d(x)
+    return _project(_as_2d(x).copy(order="K"))  # x's layout, so each row's sum keeps its bits
+
+
+def _project(x: np.ndarray) -> np.ndarray:
+    """``sphere_project`` in place, over a 2-D float64 matrix that the caller
+    owns (the generator's own frames); returns ``x``."""
     sq = np.empty(x.shape[0])
     with np.errstate(over="ignore"):  # such rows are rescaled below
         for lo in range(0, x.shape[0], PROJECT_BLOCK):
@@ -201,10 +207,10 @@ def sphere_project(x: np.ndarray) -> np.ndarray:
     extreme = _extreme(sq)
     if np.any(extreme):
         peak = np.max(np.abs(x[extreme]), axis=1, keepdims=True)
-        x = x.copy()
         x[extreme] /= np.where(peak > 0.0, peak, 1.0)
         sq[extreme] = np.sum(x[extreme] * x[extreme], axis=1)
-    return x / _row_norms(x, sq)[:, None]
+    x /= _row_norms(x, sq)[:, None]
+    return x
 
 
 def row_stats(x: np.ndarray, spec: KernelSpec) -> np.ndarray:

@@ -10,7 +10,8 @@ L2-normalized; ground-truth labels ride along.
 
 A video is built in one (N, 28, 28, 3) frame matrix: each run of frames
 whose glyph sits at the same centre gets one ``render_glyph`` canvas, and
-the noise and the normalized copy are the only other frame-sized arrays.
+the rows are L2-normalized in place, so the noise draw is the only other
+frame-sized array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import sphere_project
+from .kernels import _project
 from .numerics import make_rng
 from .preprocess import VideoFeatures, save_features, save_json, save_labels
 
@@ -172,8 +173,8 @@ def generate_video(rng: np.random.Generator, cfg: SynthConfig, name: str = "") -
     trajectory points are placed by ``_centre``, and each run of points at
     the same centre gets one ``render_glyph`` canvas copied into its rows.
     Pixel noise, if any, is drawn after the plan, added in place and
-    clipped to [0, 1] in place; ``sphere_project`` then L2-normalizes the
-    rows into the one other frame-sized array."""
+    clipped to [0, 1] in place; ``kernels._project`` then L2-normalizes the
+    rows in place, so the returned frames are that one matrix."""
     lo, hi = cfg.seg_len_range
     classes = _action_order(rng, cfg)
     lengths = [int(rng.integers(lo, hi + 1)) for _ in classes]
@@ -189,7 +190,7 @@ def generate_video(rng: np.random.Generator, cfg: SynthConfig, name: str = "") -
         flat += rng.normal(0.0, cfg.noise_std, size=flat.shape)
         np.clip(flat, 0.0, 1.0, out=flat)
     labels = np.repeat(np.asarray(classes, dtype=np.int64), lengths)
-    return VideoFeatures(frames=sphere_project(flat), labels=labels, name=name)
+    return VideoFeatures(frames=_project(flat), labels=labels, name=name)
 
 
 def generate_moving5(cfg: SynthConfig, split: str = "train") -> list[VideoFeatures]:

@@ -105,7 +105,7 @@ class TestKmeans:
 class TestKernelKmeansAssign:
     """Kernel-space assignment of k-means centers: ``assign`` on an untrained
     approximation whose prototypes are the centers, as ``segment
-    --baseline kernel-kmeans`` runs it."""
+    --method kernel-kmeans`` runs it."""
 
     def test_single_center(self):
         frames = make_rng(96).normal(size=(8, 2))

@@ -89,6 +89,14 @@ def test_readme_names_every_parser_flag():
     assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme)) == parser_flags
 
 
+def test_segment_and_randm_share_one_method_flag():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("segment", "randm"):
+        action = next(a for a in sub.choices[command]._actions if "--method" in a.option_strings)
+        assert tuple(action.choices) == ("ours", "uniform", "kmeans", "kernel-kmeans"), command
+        assert action.default == "ours", command
+
+
 class TestGen:
     def test_default_videos_per_split_is_50(self):
         from mmdseg.cli import build_parser
@@ -145,7 +153,7 @@ class TestSegment:
         save_features(feat, np.arange(12.0).reshape(6, 2))
         out = tmp_path / "seg.json"
         assert main(["segment", "--features", str(feat), "--m", "3",
-                     "--baseline", "uniform", "--out", str(out)]) == 0
+                     "--method", "uniform", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["frame_labels"] == [0, 0, 1, 1, 2, 2]
         validate_schema(payload, "segmentation.schema.json")
@@ -165,7 +173,7 @@ class TestSegment:
         for baseline in ("kmeans", "kernel-kmeans"):
             out = tmp_path / f"{baseline}.json"
             assert main(["segment", "--features", str(feat), "--labels", str(labs),
-                         "--m", "2", "--baseline", baseline, "--out", str(out)]) == 0
+                         "--m", "2", "--method", baseline, "--out", str(out)]) == 0
             payload = json.loads(out.read_text())
             assert payload["report"]["mof"] == 1.0  # blobs are trivially separable
 
@@ -173,7 +181,7 @@ class TestSegment:
         feat = tmp_path / "offset_features.txt"
         save_features(feat, generate_video(make_rng(0), SynthConfig(seed=0)).frames + 1e6)
         out = tmp_path / "o.json"
-        assert main(["segment", "--features", str(feat), "--m", "5", "--baseline", "kmeans",
+        assert main(["segment", "--features", str(feat), "--m", "5", "--method", "kmeans",
                      "--out", str(out)]) == 0
         assert len(set(json.loads(out.read_text())["frame_labels"])) == 5
 
@@ -196,7 +204,7 @@ class TestSegment:
         assert ("[DegenerateScaleError]: a video of one frame has no pairwise distance"
                 in capsys.readouterr().err)
         assert main(["segment", "--features", str(feat), "--m", "1",
-                     "--baseline", "uniform", "--out", str(out)]) == 0
+                     "--method", "uniform", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["frame_labels"] == [0] and payload["segments"] == [{"start": 0, "end": 1, "label": 0}]
 
@@ -273,7 +281,7 @@ class TestSegment:
                      "--smooth", smooth, "--out", str(tmp_path / "o.json")]) == 3
         assert f"[ValueError]: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--lr", "--wd"])
+    @pytest.mark.parametrize("flag", ["--lr", "--wd", "--baseline"])
     def test_step_settings_are_not_flags(self, tmp_path, capsys, flag):
         feat, _ = write_blob_video(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -289,7 +297,7 @@ class TestSegment:
     ])
     def test_baseline_validates_m_and_epochs(self, tmp_path, capsys, baseline, flags, message):
         feat, _ = write_blob_video(tmp_path)
-        assert main(["segment", "--features", str(feat), "--baseline", baseline, *flags,
+        assert main(["segment", "--features", str(feat), "--method", baseline, *flags,
                      "--out", str(tmp_path / "o.json")]) == 3
         assert message in capsys.readouterr().err
 
@@ -321,9 +329,9 @@ class TestGoldenLabels:
     @pytest.mark.parametrize("flags, runs, log_len", [
         (["--epochs", "0"], TRAINED_RUNS, 1),
         ([], TRAINED_RUNS, 11),
-        (["--baseline", "uniform"], [(0, 25), (1, 24), (2, 24), (3, 24), (4, 24)], 0),
-        (["--baseline", "kmeans"], KMEANS_RUNS, 0),
-        (["--baseline", "kernel-kmeans"], KMEANS_RUNS, 0),
+        (["--method", "uniform"], [(0, 25), (1, 24), (2, 24), (3, 24), (4, 24)], 0),
+        (["--method", "kmeans"], KMEANS_RUNS, 0),
+        (["--method", "kernel-kmeans"], KMEANS_RUNS, 0),
     ], ids=["no-train", "trained", "uniform", "kmeans", "kernel-kmeans"])
     def test_segment(self, data, tmp_path, flags, runs, log_len):
         out = tmp_path / "seg.json"
@@ -533,6 +541,24 @@ class TestRandm:
         assert main(["randm", "--features-dir", str(data), "--mode", "synthetic", "--mbar", "5",
                      "--seed", "0", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == RANDM_CSV_DIGEST
+
+    @pytest.mark.parametrize("method, digest", [
+        ("ours", RANDM_CSV_DIGEST),
+        ("uniform", "e503a356faf11ff498bdd429e08da6df6d1cb4b4f07270fe3503500aca1e86af"),
+        ("kmeans", "a4cec667e81177b3e0a4b39ef64b6e1b0657c4fe8142c297e895ea1397b85d92"),
+        ("kernel-kmeans", "80862d82dbb727649a64c8dbf7875344fb7badc3de2fc1db64b019dd3bf68066"),
+    ])
+    def test_every_method_csv_is_pinned(self, tmp_path, method, digest):
+        # The same videos and flags as above: every method gets the same drawn counts.
+        data = tmp_path / "data"
+        data.mkdir()
+        for v in generate_moving5(SynthConfig(seed=0), split="test")[:5]:
+            save_features(data / f"{v.name}_features.txt", v.frames)
+            save_labels(data / f"{v.name}_labels.txt", v.labels)
+        out = tmp_path / "randm.csv"
+        assert main(["randm", "--features-dir", str(data), "--mode", "synthetic", "--mbar", "5",
+                     "--seed", "0", "--method", method, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_draw_envelope_synthetic(self):
         draws = {draw_m(5, "synthetic", make_rng(0, 50, i)) for i in range(300)}

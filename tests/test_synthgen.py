@@ -129,8 +129,8 @@ class TestGenerateVideo:
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
     def test_peak_memory_is_two_frame_matrices(self, noise_std):
-        # The frames are built in one matrix, the noise is added in place,
-        # and the normalized copy is the only other frame-sized array.
+        # The frames are built in one matrix and normalized in place; with
+        # noise, the noise draw is the one other frame-sized array.
         cfg = SynthConfig(seg_len_range=(470, 490), max_repeats=1, noise_std=noise_std)
         rng = make_rng(0, 2, 0)
         tracemalloc.start()
@@ -142,6 +142,21 @@ class TestGenerateVideo:
             tracemalloc.stop()
         assert v.n_frames > 2300
         assert peak <= 2 * v.frames.nbytes + 2**20, peak / v.frames.nbytes
+
+    def test_noiseless_peak_memory_is_one_frame_matrix(self):
+        # Without noise nothing but the frame matrix is frame-sized: the rows
+        # are normalized in the matrix they were rendered into.
+        cfg = SynthConfig(seg_len_range=(470, 490), max_repeats=1, noise_std=0.0)
+        rng = make_rng(0, 2, 0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            v = generate_video(rng, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert v.n_frames == 2396
+        assert peak <= v.frames.nbytes + 2 * 2**20, peak / v.frames.nbytes
 
     def test_max_repeats_beyond_the_classes_raises(self):
         # Six copies of the repeat class need five separators; four exist.
