@@ -39,12 +39,13 @@ of the kernel: ``_kernel_core`` runs over that product in blocks of
 ``RESOLVE_BLOCK`` pairs. Beyond the frames, it holds that product (and,
 when it returns it, a copy for the NTK factor), one more matrix of pair
 values and one copy of the pairs a median reads, and a drawn sample only
-while it forms the product. It returns the sample, the resolved kernel's
-mean over it (the trainer's mean(Kxx), exactly the mean of
-``kernel_matrix`` on the sample), the row stats of the frames and of the
-sample, and, when the sample is every frame and the frames are fewer than
-their width, that Gram product G = X X^T of the frames, which the trainer
-reads in place of the frames' rows.
+while it forms the product. It returns the sample as its index into the
+frames (``slice(None)`` when it is every frame, else the sorted draw), the
+resolved kernel's mean over it (the trainer's mean(Kxx), exactly the mean
+of ``kernel_matrix`` on the sample), the row stats of the frames, and,
+when the sample is every frame and the frames are fewer than their width,
+that Gram product G = X X^T of the frames, which the trainer reads in
+place of the frames' rows.
 
 The arccos clamp keeps gradients finite: whenever the raw cosine falls outside
 the clamped interval, the gradient path through theta is zeroed, which is the
@@ -374,19 +375,19 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
 def resolve_spec(frames: np.ndarray, spec: KernelSpec,
                  rng: np.random.Generator | None = None):
     """Freeze the data-derived parameters of ``spec`` for one video; returns
-    ``(spec, sample, kxx_mean, frame_rows, sample_rows, gram)``.
+    ``(spec, keep, kxx_mean, frame_rows, gram)``.
 
-    One pass over one sample: ``sample`` holds at most ``MAX_SCALE_FRAMES``
-    frames (a view of all frames when they fit, else a seeded draw kept in
-    order). ``frame_rows`` is ``row_stats`` of all frames and
-    ``sample_rows`` its columns for the sample, which the trainer reuses.
-    One Gram product of the sample's raw rows with the squared row norms
-    gives the pair distances; ``gram`` is that product, intact, when the
-    sample is every frame and there are fewer frames than dimensions (the
-    trainer's frame span), else None. A drawn sample is gathered for the
-    product, freed, and gathered again on return, once the pair arrays are
-    gone; the distances are formed without a temporary of their size. Over
-    the distinct pairs, each median partitioned in one copy, come
+    One pass over one sample of at most ``MAX_SCALE_FRAMES`` frames,
+    ``frames[keep]``: ``keep`` is ``slice(None)`` when all frames fit, else
+    a seeded draw of that many indices, sorted. ``frame_rows`` is
+    ``row_stats`` of all frames, whose columns ``keep`` the trainer reuses
+    for the sample. One Gram product of the sample's raw rows with the
+    squared row norms gives the pair distances; ``gram`` is that product,
+    intact, when the sample is every frame and there are fewer frames than
+    dimensions (the trainer's frame span), else None. A drawn sample is
+    gathered for the product and freed; the distances are formed without a
+    temporary of their size. Over the distinct pairs, each median
+    partitioned in one copy, come
 
     - ``lengthscale``, the median squared pairwise distance. A distance at or
       below the rounding error of the Gram expansion, d * eps * max ||x||^2,
@@ -411,8 +412,8 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     Gaussian values or distances over every pair, one pair copy and one
     block's temporaries, or, earlier, a drawn sample beside the product.
     ``kxx_mean`` is the resolved kernel's mean over all ordered pairs of the
-    sample, diagonal included, equal to
-    ``kernel_matrix(sample, sample, spec).mean()``: the mean(Kxx) of the
+    sample, diagonal included, equal to ``kernel_matrix(sample, sample,
+    spec).mean()`` for ``sample = frames[keep]``: the mean(Kxx) of the
     trainer's loss.
 
     All are computed once, before any optimization, and never touched again.
@@ -433,7 +434,7 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     rows = max(1, RESOLVE_BLOCK // m)
     sample = x[keep]
     gram = sample @ sample.T
-    del sample  # its only use in the pass; gathered again on return
+    del sample  # freed before the pair arrays are formed
     sqdist = sqdist_from_gram(gram, sq, sq, m, rows)
     upper = np.triu(np.ones((m, m), dtype=bool), 1)  # the distinct pairs
     noise = d * np.finfo(np.float64).eps * float(np.max(sq))
@@ -478,6 +479,4 @@ def resolve_spec(frames: np.ndarray, spec: KernelSpec,
     kxx_mean = float(np.mean(k))
     if not math.isfinite(kxx_mean):
         raise NumericError(f"kernel family {family!r} has a non-finite mean on the frame sample")
-    k = kn = upper = None  # the pair arrays go before the sample is gathered again
-    gram = gram if span else None
-    return resolved, x[keep], kxx_mean, frame_rows, sample_rows, gram
+    return resolved, keep, kxx_mean, frame_rows, gram if span else None

@@ -13,9 +13,10 @@ may fall to zero), so the number of realized segments can fall below M.
 
 Every step keeps each prototype in the span of the frames X, Y = C X. A
 video of at most ``MAX_SCALE_FRAMES`` frames, fewer than its width, is
-therefore trained on the coefficients C: each step reads the frames' N x N
-Gram product instead of their rows. Longer or narrower videos train on the
-rows of Y. ``Approximation.prototypes`` holds rows either way (``C @ X``).
+therefore trained on the coefficients C beside H = C G: each step reads the
+frames' N x N Gram product G instead of their rows, and moves H along with
+C. Longer or narrower videos train on the rows of Y.
+``Approximation.prototypes`` holds rows either way (``C @ X``).
 """
 
 from __future__ import annotations
@@ -155,15 +156,15 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     support is usually already the optimal one, so it takes one face solve
     instead of one per prototype and returns the same bytes as a cold start
     (``simplex_weights``). The refit and the logged loss run over the frame
-    sample that ``resolve_spec`` returns (all frames, or a seeded draw of
-    ``MAX_SCALE_FRAMES`` on a longer video) with its mean(Kxx).
+    sample whose index ``resolve_spec`` returns (all frames, or a seeded
+    draw of ``MAX_SCALE_FRAMES`` on a longer video) with its mean(Kxx).
     ``train_log[0]`` is the loss at initialization; one entry follows per
     epoch. Every step is at ``LEARNING_RATE``. Fully deterministic given the
     seed.
 
     Each value is formed as rarely as it changes: the ``row_stats`` of the
-    frames and of the sample once per video, by ``resolve_spec`` (each batch
-    takes its columns), and one stacked kernel pass, Kyy above Kxy, per
+    frames once per video, by ``resolve_spec`` (the sample and each batch
+    take their columns), and one stacked kernel pass, Kyy above Kxy, per
     gradient step and per loss evaluation.
 
     Which representation runs reads only the frames' shape, and
@@ -174,12 +175,13 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
     ``H = C G`` and G = X X^T, the Gram product ``resolve_spec`` formed once.
     A step reads its Gram blocks as ``H C^T`` and the batch's columns of
     ``H``, and takes the same Euclidean step on Y written over the frames
-    (``mmd2_grad_y``); no step forms a product over the d-wide rows or an
-    m x N x N product. Before the loss terms of each epoch ``H = C G`` is
-    formed again, exactly. Every other video (a long one, or one with
-    N >= d) holds the rows of Y. Either way ``Approximation.prototypes`` is
-    the rows of Y: ``C @ X`` in the span, formed once at the end, and with
-    no epochs ``init_uniform_means`` itself.
+    (``mmd2_grad_y``), returned as ``[D | D G]``; the decay is linear too,
+    so every step moves H by G times C's move and H is never formed again.
+    No step forms a product over the d-wide rows or an m x N x N product.
+    Every other video (a long one, or one with N >= d) holds the rows of Y.
+    Either way ``Approximation.prototypes`` is the rows of Y: ``C @ X`` in
+    the span, formed once at the end, and with no epochs
+    ``init_uniform_means`` itself.
     """
     frames = np.asarray(v.frames, dtype=np.float64)
     n = len(frames)
@@ -188,16 +190,17 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
 
     # Refit and loss run on the scale sample; each epoch's Kyy and Kxy give
     # both the logged loss and the refit weights.
-    spec, sample, kxx_mean, frame_rows, sample_rows, gram = resolve_spec(
+    spec, keep, kxx_mean, frame_rows, gram = resolve_spec(
         frames, KernelSpec(family=cfg.kernel), make_rng(cfg.seed, 0))
+    sample_rows = frame_rows[:, keep]
     span = (frames, gram) if gram is not None else None
     if span is None:
-        y, sample_x = init_uniform_means(frames, cfg.m), sample
-    else:  # [C | C G], C the uniform spans' averaging weights; the sample is every frame
+        y, sample_x = init_uniform_means(frames, cfg.m), frames[keep]
+    else:  # [C | C G], C the uniform spans' averaging weights
         c = np.zeros((cfg.m, n))
         for j, (lo, hi) in enumerate(uniform_spans(n, cfg.m)):
             c[j, lo:hi] = 1.0 / (hi - lo)
-        y, sample_x = np.hstack((c, c @ gram)), slice(None)
+        y, sample_x = np.hstack((c, c @ gram)), keep
     rng_batches = make_rng(cfg.seed, 1)
 
     weights = np.full(cfg.m, 1.0 / cfg.m)
@@ -213,8 +216,6 @@ def train_approximation(v: VideoFeatures, cfg: TrainConfig) -> Approximation:
             grad = mmd2_grad_y(frames[batch] if span is None else batch, y, spec, weights,
                                frame_rows[:, batch], span)
             y = y - LEARNING_RATE * grad - LEARNING_RATE * cfg.weight_decay * y
-        if span is not None:
-            y[:, n:] = y[:, :n] @ gram
         kyy, kxy_mean = mmd2_terms(sample_x, y, spec, sample_rows, span)
         weights = simplex_weights(kyy, kxy_mean, start=weights)
         train_log.append(mmd2_from_terms(kxx_mean, kyy, kxy_mean, weights))

@@ -9,9 +9,9 @@ completes its full trajectory). Frames are flattened to 2352-D rows and
 L2-normalized; ground-truth labels ride along.
 
 A video is built in one (N, 28, 28, 3) frame matrix: each run of frames
-whose glyph sits at the same centre gets one ``render_glyph`` canvas, and
-the rows are L2-normalized in place, so the noise draw is the only other
-frame-sized array.
+whose glyph sits at the same centre gets one ``render_glyph`` canvas,
+noise is drawn and added a block of rows at a time, and the rows are
+L2-normalized in place, so no other frame-sized array is formed.
 """
 
 from __future__ import annotations
@@ -172,9 +172,10 @@ def generate_video(rng: np.random.Generator, cfg: SynthConfig, name: str = "") -
     The frames are rows of one (N, CANVAS, CANVAS, 3) matrix: each segment's
     trajectory points are placed by ``_centre``, and each run of points at
     the same centre gets one ``render_glyph`` canvas copied into its rows.
-    Pixel noise, if any, is drawn after the plan, added in place and
-    clipped to [0, 1] in place; ``kernels._project`` then L2-normalizes the
-    rows in place, so the returned frames are that one matrix."""
+    Pixel noise, if any, is drawn after the plan 32 rows at a time (the
+    same bits as one draw of the whole matrix), added in place and clipped
+    to [0, 1] in place; ``kernels._project`` then L2-normalizes the rows in
+    place, so the returned frames are that one matrix."""
     lo, hi = cfg.seg_len_range
     classes = _action_order(rng, cfg)
     lengths = [int(rng.integers(lo, hi + 1)) for _ in classes]
@@ -187,7 +188,8 @@ def generate_video(rng: np.random.Generator, cfg: SynthConfig, name: str = "") -
             row += n
     flat = frames.reshape(row, -1)
     if cfg.noise_std > 0:
-        flat += rng.normal(0.0, cfg.noise_std, size=flat.shape)
+        for block in np.split(flat, range(32, row, 32)):
+            block += rng.normal(0.0, cfg.noise_std, size=block.shape)
         np.clip(flat, 0.0, 1.0, out=flat)
     labels = np.repeat(np.asarray(classes, dtype=np.int64), lengths)
     return VideoFeatures(frames=_project(flat), labels=labels, name=name)

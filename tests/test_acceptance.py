@@ -24,6 +24,7 @@ from mmdseg import (
     make_rng,
     segment_video,
 )
+from mmdseg import kernels
 from mmdseg.baselines import kmeans_centroids, uniform_segmentation
 from mmdseg.cli import draw_m, main
 from mmdseg.errors import DegenerateInputError, DegenerateScaleError
@@ -308,3 +309,51 @@ def test_labels_are_pinned_in_every_family(moving5_test_split, family):
             _, seg = segment_video(v, TrainConfig(m=5, epochs=10, seed=i, kernel=family))
             digest.update(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
         assert digest.hexdigest() == expected
+
+
+# sha256 of the int64 labels of the first five pinned-split videos (87, 135,
+# 76, 84 and 108 frames) with the scale sample capped at 60 frames, so each
+# video draws its sample and trains on rows; m = 5, 10 epochs and seed =
+# video index, per family. The same at 1 and 2 BLAS threads.
+SAMPLED_LABEL_DIGESTS = {
+    "gauss": "60d98fa2c17a63329e9a2545b6d8fa4704893d4bc3b4a3c7c02a406cc1b379f4",
+    "nngp": "fbe6f6e2d4396b6a962f1d85c25ed37b670e039040b58cac7faf8d79fc494bce",
+    "ntk": "a51f119657551e0dc0eef980af07ea7cab6fce57a7e28813ff9b5e42ba5af2e7",
+    "ntk_sphere": "725309eb043f94b21027cccae627eb7d9daea68cd2928054e557fb252f0dffcd",
+    "gauss_ntk": "76b5e7cd9e863af8b871b8c6a9659122a1dce2808bbf6d2e245093b9c0b6ffd0",
+    "gauss_ntk_sphere": "4db131dede5285e42da6b744a2a5764c1b132260eff49a12ea2afe70da993c17",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sampled_labels_are_pinned_in_every_family(moving5_test_split, family, monkeypatch):
+    monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 60)
+    digest = hashlib.sha256()
+    for i, v in enumerate(moving5_test_split[:5]):
+        _, seg = segment_video(v, TrainConfig(m=5, epochs=10, seed=i, kernel=family))
+        digest.update(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == SAMPLED_LABEL_DIGESTS[family]
+
+
+# sha256 of the int64 labels of one 832-frame, 2352-D video, which trains in
+# the frames' span, with m = 8, 10 epochs and seed 0, per family. Training
+# moves 63 to 513 of its labels away from the untrained ones in every
+# family. The same at 1 and 2 BLAS threads.
+SPAN_LABEL_DIGESTS = {
+    "gauss": "a6f016d67bbae5813d191a585ac34d64c0ff445db094b3ad742b453d1e0f38ef",
+    "nngp": "072375045d1414611b0802b0485ce129024c10ad8afc6935cf69374ec8875502",
+    "ntk": "517f875be9f18829183da3fc3b739d1ab227c1c1ff67798de2e489ee1a0c8794",
+    "ntk_sphere": "df9c00f8db5ec7091c7b65d31611e22722cd1e820cdfced420c13d0ba56ea63a",
+    "gauss_ntk": "517f875be9f18829183da3fc3b739d1ab227c1c1ff67798de2e489ee1a0c8794",
+    "gauss_ntk_sphere": "517f875be9f18829183da3fc3b739d1ab227c1c1ff67798de2e489ee1a0c8794",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mid_size_span_labels_are_pinned_in_every_family(family):
+    cfg = SynthConfig(n_videos=1, seg_len_range=(80, 200), noise_std=0.2, seed=3)
+    v = generate_moving5(cfg, "test")[0]
+    assert v.frames.shape == (832, 2352)
+    _, seg = segment_video(v, TrainConfig(m=8, epochs=10, seed=0, kernel=family))
+    digest = hashlib.sha256(np.asarray(seg.frame_labels, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == SPAN_LABEL_DIGESTS[family]

@@ -91,16 +91,6 @@ def lengthscale(x):
     return resolve_spec(x, KernelSpec(family="gauss"))[0].lengthscale
 
 
-def sample_rows(frames, sample):
-    """Indices of the frames that ``sample`` holds, matched in order."""
-    rows, start = [], 0
-    for row in sample:
-        start += int(np.flatnonzero((frames[start:] == row).all(axis=1))[0])
-        rows.append(start)
-        start += 1
-    return np.array(rows)
-
-
 def brute_force_scales(x, family):
     """(lengthscale, input_scale, alpha) of ``resolve_spec`` on unsampled rows,
     by enumeration over every distinct pair; alpha is the error message
@@ -220,14 +210,15 @@ class TestResolveSpec:
         # Unsampled (40 frames) and sampled (80 frames, cap 30): the mean over
         # every ordered pair of the returned sample, diagonal included.
         frames = generate_video(make_rng(0), SynthConfig(seed=0)).frames
-        samples = []
+        keeps = []
         for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30)):
             monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
-            spec, sample, kxx_mean, *_ = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
+            spec, keep, kxx_mean, *_ = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))
+            sample = f[keep]
             assert kxx_mean == kernel_matrix(sample, sample, spec).mean(), len(f)
-            samples.append(sample)
-        assert np.shares_memory(samples[0], frames) and np.array_equal(samples[0], frames[:40])
-        assert len(sample_rows(frames[:80], samples[1])) == 30
+            keeps.append(keep)
+        assert keeps[0] == slice(None)
+        assert len(keeps[1]) == 30 and np.all(np.diff(keeps[1]) > 0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gram_of_the_frames_only_when_the_sample_is_every_frame(self, family, monkeypatch):
@@ -239,7 +230,7 @@ class TestResolveSpec:
         for f, cap in ((frames[:40], kernels.MAX_SCALE_FRAMES), (frames[:80], 30),
                        (square, kernels.MAX_SCALE_FRAMES)):
             monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", cap)
-            gram = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))[5]
+            gram = resolve_spec(f, KernelSpec(family=family), make_rng(3, 0))[4]
             if len(f) <= cap and len(f) < f.shape[1]:
                 assert np.array_equal(gram, f @ f.T)
             else:
@@ -500,8 +491,8 @@ class TestSphereProject:
         # A zero frame outside the scale sample still has no direction.
         monkeypatch.setattr(kernels, "MAX_SCALE_FRAMES", 8)
         frames = rng.normal(size=(30, 4))
-        sample = resolve_spec(frames, KernelSpec(family=family))[1]
-        k = int(np.setdiff1d(np.arange(30), sample_rows(frames, sample))[0])
+        keep = resolve_spec(frames, KernelSpec(family=family))[1]
+        k = int(np.setdiff1d(np.arange(30), keep)[0])
         frames[k] = 0.0
         with pytest.raises(DegenerateInputError, match=f"all-zero row {k}$"):
             resolve_spec(frames, KernelSpec(family=family))

@@ -129,8 +129,8 @@ class TestGenerateVideo:
 
     @pytest.mark.parametrize("noise_std", [0.0, 0.1])
     def test_peak_memory_is_two_frame_matrices(self, noise_std):
-        # The frames are built in one matrix and normalized in place; with
-        # noise, the noise draw is the one other frame-sized array.
+        # The frames are built in one matrix and normalized in place, with or
+        # without noise.
         cfg = SynthConfig(seg_len_range=(470, 490), max_repeats=1, noise_std=noise_std)
         rng = make_rng(0, 2, 0)
         tracemalloc.start()
@@ -147,6 +147,21 @@ class TestGenerateVideo:
         # Without noise nothing but the frame matrix is frame-sized: the rows
         # are normalized in the matrix they were rendered into.
         cfg = SynthConfig(seg_len_range=(470, 490), max_repeats=1, noise_std=0.0)
+        rng = make_rng(0, 2, 0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            v = generate_video(rng, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert v.n_frames == 2396
+        assert peak <= v.frames.nbytes + 2 * 2**20, peak / v.frames.nbytes
+
+    def test_noisy_peak_memory_is_one_frame_matrix(self):
+        # The noise is drawn and added 32 rows at a time, so no frame-sized
+        # draw sits beside the frame matrix.
+        cfg = SynthConfig(seg_len_range=(470, 490), max_repeats=1, noise_std=0.1)
         rng = make_rng(0, 2, 0)
         tracemalloc.start()
         try:
